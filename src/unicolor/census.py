@@ -13,30 +13,30 @@ generation, together with sound lookahead bounds for the degree floor and
 the edge-window lower bound: a partial graph is dropped only when no
 sequence of vertex additions can repair it.  Connectivity and the exact
 degree floor / edge window apply at full order.
+
+The witness search runs one battery per full-order class, cheapest check
+first: the Xu edge bound, then the colouring decision (the chromatic number,
+then one partition enumeration capped at two), then the balanced test.  Only
+witnesses get a report, and so the (k-1)-connectivity test, which a
+uniquely k-colourable graph always passes.
 """
 
 from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from .budget import Budget, BudgetExceededError
-from .colouring import (
-    VerificationReport,
-    find_colour_partition,
-    is_uniquely_k_colourable,
-    verify,
-    xu_bound_holds,
-)
+from .colouring import VerificationReport, _decide, _report, xu_bound_holds
 from .graphs import (
     Graph,
     _canonical,
     _connected_within,
+    canonical_form,
     independence_number,
     parse_graph6,
-    vertex_connectivity_at_least,
 )
 
 CHECKPOINT_VERSION = 1
@@ -84,10 +84,18 @@ class CensusTask:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CensusTask":
+        """Inverse of to_dict; raises ValueError unless ``d`` has exactly the
+        task's keys and values of usable types."""
+        names = {f.name for f in fields(cls)}
+        if not isinstance(d, dict) or set(d) != names:
+            raise ValueError(f"a census task needs exactly the keys {sorted(names)}")
         d = dict(d)
-        if d.get("edge_window") is not None:
-            d["edge_window"] = tuple(d["edge_window"])
-        return cls(**d)
+        try:
+            if d["edge_window"] is not None:
+                d["edge_window"] = tuple(d["edge_window"])
+            return cls(**d)
+        except TypeError as exc:
+            raise ValueError(f"bad census task: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -247,6 +255,23 @@ def _extend_parent(
     return accepted
 
 
+def _expand(
+    task: CensusTask,
+    parent: Graph,
+    parent_canon: bytes,
+    visit: Callable[[Graph, bytes], None],
+    stats: dict[str, int],
+    out: list[tuple[Graph, bytes]],
+) -> None:
+    """Hand the full-order children of one parent to ``visit`` and append
+    the others to ``out``."""
+    for child, canon in _extend_parent(task, parent, parent_canon, stats):
+        if child.n == task.n:
+            visit(child, canon)
+        else:
+            out.append((child, canon))
+
+
 def _census_loop(
     task: CensusTask,
     stack: list[tuple[Graph, bytes]],
@@ -257,7 +282,6 @@ def _census_loop(
     """Depth-first drive of _extend_parent.  Returns the pending stack as
     graph6 strings if the budget runs out, or None on completion.  ``visit``
     receives each accepted full-order class once, canonically labelled."""
-    n = task.n
     while stack:
         parent, parent_canon = stack.pop()
         if budget is not None:
@@ -267,26 +291,26 @@ def _census_loop(
             except BudgetExceededError:
                 stack.append((parent, parent_canon))
                 return [canon.decode("ascii") for _, canon in stack]
-        for child, canon in _extend_parent(task, parent, parent_canon, stats):
-            if child.n == n:
-                visit(child, canon)
-            else:
-                stack.append((child, canon))
+        _expand(task, parent, parent_canon, visit, stats, stack)
     return None
 
 
-def _initial_stack(task: CensusTask) -> list[tuple[Graph, bytes]]:
-    return [(Graph(1), b"@")]
-
-
-def _visit_trivial_root(task: CensusTask, visit: Callable[[Graph, bytes], None]) -> bool:
-    """Handle the degenerate n=1 task; returns True when it applied."""
-    if task.n != 1:
-        return False
-    lo, _hi = task.edge_window if task.edge_window is not None else (0, 0)
-    if task.min_degree <= 0 and lo <= 0:
-        visit(Graph(1), b"@")
-    return True
+def _expand_frontier(
+    eff: CensusTask,
+    level: list[tuple[Graph, bytes]],
+    want: int,
+    visit: Callable[[Graph, bytes], None],
+    stats: dict[str, int],
+) -> list[str]:
+    """Grow the augmentation tree breadth-first from ``level`` until at least
+    ``want`` subtree roots exist (or the levels run out).  Full-order classes
+    reached during expansion are handed to ``visit`` directly."""
+    while level and len(level) < want and level[0][0].n < eff.n - 1:
+        nxt: list[tuple[Graph, bytes]] = []
+        for parent, canon in level:
+            _expand(eff, parent, canon, visit, stats, nxt)
+        level = nxt
+    return [canon.decode("ascii") for _, canon in level]
 
 
 def _make_token(task: CensusTask, pending: list[str], stats: dict, mode: str,
@@ -304,15 +328,92 @@ def _make_token(task: CensusTask, pending: list[str], stats: dict, mode: str,
     return token
 
 
-def _check_token(token: dict, task: CensusTask | None, mode: str) -> None:
-    if token.get("kind") != "census-checkpoint":
+def _check_token(token: dict, task: CensusTask | None = None, mode: str | None = None) -> None:
+    """Reject a token of the wrong kind, version or shape, or one that does
+    not match the expected ``mode`` and ``task`` when these are given."""
+    if not isinstance(token, dict) or token.get("kind") != "census-checkpoint":
         raise ValueError("not a census checkpoint token")
     if token.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {token.get('version')!r}")
-    if token.get("mode") != mode:
+    if mode is not None and token.get("mode") != mode:
         raise ValueError(f"checkpoint holds a {token.get('mode')!r} run, expected {mode!r}")
+    if not isinstance(token.get("task"), dict):
+        raise ValueError("checkpoint token has no task")
+    if not isinstance(token.get("pending"), list) or not isinstance(token.get("stats"), dict):
+        raise ValueError("checkpoint token needs a pending list and a stats object")
     if task is not None and token["task"] != task.to_dict():
         raise ValueError("checkpoint was produced by a different task")
+
+
+def _load_stack(pending: list, n: int) -> list[tuple[Graph, bytes]]:
+    """The search stack of a token's pending roots.  Each must be the
+    canonical graph6 string of a graph of order 1..n-1."""
+    stack = []
+    for s in pending:
+        g = parse_graph6(s) if isinstance(s, str) else None
+        if g is None or not 1 <= g.n < n or canonical_form(g) != s.encode("ascii"):
+            raise ValueError(f"pending entry {s!r} is not a canonical graph6 of order 1..{n - 1}")
+        stack.append((g, s.encode("ascii")))
+    return stack
+
+
+def _drive(
+    task: CensusTask,
+    eff: CensusTask,
+    mode: str,
+    visit: Callable[[Graph, bytes, CensusResult], None],
+    checkpoint: dict | None = None,
+    threads: int = 1,
+) -> CensusResult:
+    """The one census driver behind generate and find_unique_k_witnesses.
+
+    Searches for the classes of ``eff`` and hands each full-order class to
+    ``visit`` once, with the result it records into.  The search starts
+    from the pending roots of ``checkpoint`` or from the order-1 root, and
+    the order-1 task is decided without a search.  With ``threads`` > 1 the
+    tree is expanded breadth-first and its roots are shared among forked
+    workers, each resuming a witness token of its own.  When the budget of
+    ``eff`` runs out, the result carries the resume token.
+    """
+    result = CensusResult(task=task)
+    stats = result.stats
+
+    def inner(g: Graph, canon: bytes) -> None:
+        _bump(stats, "visited")
+        visit(g, canon, result)
+
+    if checkpoint is not None:
+        _check_token(checkpoint, task, mode)
+        stack = _load_stack(checkpoint["pending"], task.n)
+        stats.update(checkpoint["stats"])
+        result.witnesses.extend(_witness_from_dict(d) for d in checkpoint.get("witnesses", []))
+    elif eff.n == 1:
+        lo = eff.edge_window[0] if eff.edge_window is not None else 0
+        if eff.min_degree <= 0 and lo <= 0:
+            inner(Graph(1), b"@")
+        return result
+    else:
+        stack = [(Graph(1), b"@")]
+    pending = None
+    if threads > 1:
+        roots = sorted(_expand_frontier(eff, stack, threads * 4, inner, stats))
+        tokens = [_make_token(task, roots[i::threads], {}, mode, [])
+                  for i in range(min(threads, len(roots)))]
+        if tokens:
+            ctx = multiprocessing.get_context("fork")
+            with ctx.Pool(processes=len(tokens)) as pool:
+                for part in pool.map(resume, tokens):
+                    for key, val in part.stats.items():
+                        _bump(stats, key, val)
+                    result.witnesses.extend(part.witnesses)
+    else:
+        pending = _census_loop(eff, stack, inner, stats, eff.budget())
+    if pending is not None:
+        witnesses = result.witnesses if mode == "witness" else None
+        result.checkpoint = _make_token(task, pending, stats, mode, witnesses)
+    else:
+        result.witnesses.sort(key=lambda w: (w.edges, w.graph6))
+    return result
 
 
 def generate(
@@ -326,26 +427,12 @@ def generate(
     window and connectivity as requested.  With a budget, the result's
     ``checkpoint`` is a resumable token (pass it back via ``checkpoint``).
     """
-    stats: dict[str, int] = {}
-    if checkpoint is not None:
-        _check_token(checkpoint, task, mode="generate")
-        stack = [(parse_graph6(s), s.encode("ascii")) for s in checkpoint["pending"]]
-        stats.update(checkpoint["stats"])
-    else:
-        stack = _initial_stack(task)
 
-    def inner(g: Graph, canon: bytes) -> None:
-        _bump(stats, "visited")
+    def on_class(g: Graph, canon: bytes, result: CensusResult) -> None:
         if visit is not None:
             visit(g)
 
-    if checkpoint is None and _visit_trivial_root(task, inner):
-        return CensusResult(task=task, stats=stats)
-    pending = _census_loop(task, stack, inner, stats, task.budget())
-    token = None
-    if pending is not None:
-        token = _make_token(task, pending, stats, mode="generate")
-    return CensusResult(task=task, stats=stats, checkpoint=token)
+    return _drive(task, task, "generate", on_class, checkpoint)
 
 
 def _witness_from_dict(d: dict) -> Witness:
@@ -358,36 +445,30 @@ def _witness_from_dict(d: dict) -> Witness:
     )
 
 
-def _effective_task(task: CensusTask) -> CensusTask:
-    # necessary conditions for unique k-colourability become structural prunes
-    return replace(
-        task,
-        min_degree=max(task.min_degree, task.k - 1),
-        connected=True,
-    )
-
-
 def _battery(g: Graph, canon: bytes, task: CensusTask, stats: dict, out: list[Witness]) -> None:
+    """Decide one full-order class, cheapest check first.
+
+    The Xu edge bound, then the colouring decision (chi and one capped
+    partition enumeration), then the balanced test on the colouring that
+    decision found.  Only a witness gets a report, and with it the
+    (k-1)-connectivity test, which cannot fail there: a uniquely
+    k-colourable graph is (k-1)-connected (Chartrand and Geller, 1969).
+    """
     k = task.k
     _bump(stats, "battery_candidates")
     ok, _ = xu_bound_holds(g, k)
     if not ok:
         _bump(stats, "failed_xu")
         return
-    if not vertex_connectivity_at_least(g, k - 1):
-        _bump(stats, "failed_connectivity")
-        return
-    if not is_uniquely_k_colourable(g, k):
+    decision = _decide(g, k)
+    if decision.verdict != "yes":
         _bump(stats, "failed_unique")
         return
-    if task.balanced:
-        c = find_colour_partition(g, k)
-        assert c is not None
-        if len(set(c.class_sizes())) != 1:
-            _bump(stats, "failed_balanced")
-            return
-    report = verify(g, k)
-    assert report.uniquely_colourable == "yes"
+    if task.balanced and len(set(decision.colouring.class_sizes())) != 1:
+        _bump(stats, "failed_balanced")
+        return
+    report = _report(g, k, decision)
+    assert report.connectivity_ok
     _bump(stats, "witnesses")
     out.append(
         Witness(graph6=canon.decode("ascii"), n=g.n, k=k, edges=g.edge_count(), report=report)
@@ -400,46 +481,26 @@ def find_unique_k_witnesses(
     """Census filtered down to uniquely k-colourable graphs.
 
     Runs the census under the necessary-condition prefilter (degree floor
-    k-1, connected), then the exact battery per survivor.  Witnesses are
+    k-1, connected), then the battery per survivor.  Witnesses are
     reported sorted by (edges, graph6).  ``threads`` > 1 distributes the
     search tree over worker processes (budgets then unsupported).
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    eff = _effective_task(task)
-    if threads > 1:
-        if eff.budget_nodes is not None or eff.budget_seconds is not None:
-            raise ValueError("budgets are only supported on single-worker runs")
-        if checkpoint is not None:
-            raise ValueError("checkpoints are only supported on single-worker runs")
-        return _parallel_witness_search(task, eff, threads)
+    if threads > 1 and (task.budget() is not None or checkpoint is not None):
+        raise ValueError("budgets and checkpoints are only supported on single-worker runs")
+    # necessary conditions for unique k-colourability become structural prunes
+    eff = replace(task, min_degree=max(task.min_degree, task.k - 1), connected=True)
 
-    stats: dict[str, int] = {}
-    witnesses: list[Witness] = []
-    if checkpoint is not None:
-        _check_token(checkpoint, task, mode="witness")
-        stack = [(parse_graph6(s), s.encode("ascii")) for s in checkpoint["pending"]]
-        stats.update(checkpoint["stats"])
-        witnesses.extend(_witness_from_dict(d) for d in checkpoint.get("witnesses", []))
-    else:
-        stack = _initial_stack(eff)
+    def on_class(g: Graph, canon: bytes, result: CensusResult) -> None:
+        _battery(g, canon, eff, result.stats, result.witnesses)
 
-    def inner(g: Graph, canon: bytes) -> None:
-        _bump(stats, "visited")
-        _battery(g, canon, eff, stats, witnesses)
-
-    if checkpoint is None and _visit_trivial_root(eff, inner):
-        return CensusResult(task=task, stats=stats, witnesses=witnesses)
-    pending = _census_loop(eff, stack, inner, stats, eff.budget())
-    if pending is not None:
-        token = _make_token(task, pending, stats, mode="witness", witnesses=witnesses)
-        return CensusResult(task=task, stats=stats, witnesses=witnesses, checkpoint=token)
-    witnesses.sort(key=lambda w: (w.edges, w.graph6))
-    return CensusResult(task=task, stats=stats, witnesses=witnesses, checkpoint=None)
+    return _drive(task, eff, "witness", on_class, checkpoint, threads)
 
 
 def resume(checkpoint: dict, visit: Callable[[Graph], None] | None = None) -> CensusResult:
     """Continue a budget-interrupted run from its checkpoint token."""
+    _check_token(checkpoint)
     task = CensusTask.from_dict(checkpoint["task"])
     mode = checkpoint.get("mode")
     if mode == "generate":
@@ -455,72 +516,5 @@ def checkpoint_dumps(token: dict) -> str:
 
 def checkpoint_loads(text: str) -> dict:
     token = json.loads(text)
-    if token.get("kind") != "census-checkpoint":
-        raise ValueError("not a census checkpoint token")
+    _check_token(token)
     return token
-
-
-# -- parallel search ---------------------------------------------------------
-
-
-def _expand_frontier(
-    eff: CensusTask,
-    want: int,
-    visit: Callable[[Graph, bytes], None],
-    stats: dict[str, int],
-) -> list[str]:
-    """Grow the augmentation tree breadth-first until at least ``want``
-    subtree roots exist (or the levels run out).  Full-order classes reached
-    during expansion are handed to ``visit`` directly."""
-    level = _initial_stack(eff)
-    while level and len(level) < want and level[0][0].n < eff.n - 1:
-        nxt: list[tuple[Graph, bytes]] = []
-        for parent, canon in level:
-            for child, child_canon in _extend_parent(eff, parent, canon, stats):
-                if child.n == eff.n:
-                    visit(child, child_canon)
-                else:
-                    nxt.append((child, child_canon))
-        level = nxt
-    return [canon.decode("ascii") for _, canon in level]
-
-
-def _worker_run(args: tuple[dict, list[str]]) -> tuple[dict, list[dict]]:
-    task_dict, roots = args
-    eff = CensusTask.from_dict(task_dict)
-    stats: dict[str, int] = {}
-    witnesses: list[Witness] = []
-
-    def inner(g: Graph, canon: bytes) -> None:
-        _bump(stats, "visited")
-        _battery(g, canon, eff, stats, witnesses)
-
-    stack = [(parse_graph6(s), s.encode("ascii")) for s in roots]
-    _census_loop(eff, stack, inner, stats, None)
-    return stats, [w.to_json_dict() for w in witnesses]
-
-
-def _parallel_witness_search(task: CensusTask, eff: CensusTask, threads: int) -> CensusResult:
-    stats: dict[str, int] = {}
-    witnesses: list[Witness] = []
-
-    def inner(g: Graph, canon: bytes) -> None:
-        _bump(stats, "visited")
-        _battery(g, canon, eff, stats, witnesses)
-
-    if _visit_trivial_root(eff, inner):
-        return CensusResult(task=task, stats=stats, witnesses=witnesses)
-    roots = _expand_frontier(eff, threads * 4, inner, stats)
-    chunks: list[list[str]] = [[] for _ in range(threads)]
-    for i, root in enumerate(sorted(roots)):
-        chunks[i % threads].append(root)
-    jobs = [(eff.to_dict(), chunk) for chunk in chunks if chunk]
-    if jobs:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(processes=min(threads, len(jobs))) as pool:
-            for wstats, wdicts in pool.map(_worker_run, jobs):
-                for key, val in wstats.items():
-                    _bump(stats, key, val)
-                witnesses.extend(_witness_from_dict(d) for d in wdicts)
-    witnesses.sort(key=lambda w: (w.edges, w.graph6))
-    return CensusResult(task=task, stats=stats, witnesses=witnesses, checkpoint=None)

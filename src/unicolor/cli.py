@@ -24,7 +24,7 @@ from .census import (
     checkpoint_loads,
     find_unique_k_witnesses,
 )
-from .colouring import Colouring, ColouringError, chromatic_number, find_colour_partition, verify
+from .colouring import Colouring, ColouringError, _decide, _report, chromatic_number, find_colour_partition
 from .constructions import (
     ColouredGraph,
     ConstructionError,
@@ -151,12 +151,13 @@ def cmd_check(args: argparse.Namespace) -> int:
     worst = EXIT_OK
     for i, (label, g) in enumerate(graphs):
         budget = _budget_from(args)  # fresh allowance per graph
-        report = verify(g, args.k, budget=budget)
+        decision = _decide(g, args.k, budget=budget)
+        report = _report(g, args.k, decision)
         row = {"name": label}
         row.update(report.to_json_dict())
         _emit(row)
         if args.dot:
-            colouring = find_colour_partition(g, args.k)
+            colouring = decision.colouring
             classes = list(colouring.assignment) if colouring is not None else None
             _write_dot(_dot_path(args.dot, i, len(graphs)), g, classes, name=f"check_{i}")
         if report.uniquely_colourable == "no":
@@ -230,6 +231,17 @@ def cmd_nu(args: argparse.Namespace) -> int:
 # -- census ------------------------------------------------------------------
 
 
+def _write_checkpoint(path: str, token: dict) -> None:
+    """Write the token beside ``path``, then rename it over ``path``, so that
+    a crash during the write leaves the previous token intact."""
+    tmp = f"{path}.tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.write(checkpoint_dumps(token))
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 def cmd_census(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
     if args.resume:
@@ -266,8 +278,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     _log("census stats: " + json.dumps(dict(sorted(result.stats.items()))))
     if not result.complete:
         if args.checkpoint:
-            with open(args.checkpoint, "w", encoding="ascii") as fh:
-                fh.write(checkpoint_dumps(result.checkpoint))
+            _write_checkpoint(args.checkpoint, result.checkpoint)
             _log(f"budget exhausted; checkpoint written to {args.checkpoint}")
         else:
             _log("budget exhausted; rerun with --checkpoint PATH to make the run resumable")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError
 from .graphs import (
@@ -234,14 +234,9 @@ def count_colour_partitions(
     return count
 
 
-def find_colour_partition(g: Graph, k: int, budget: Budget | None = None) -> Colouring | None:
-    """Some proper partition into <= k classes, or None.  Deterministic."""
-    holder: list[tuple[int, ...]] = []
-    _enumerate_partitions(g, k, 1, on_leaf=holder.append, budget=budget)
-    if not holder:
-        return None
-    masks = holder[0]
-    assignment = [0] * g.n
+def _colouring_of(n: int, masks: tuple[int, ...]) -> Colouring:
+    """The colouring of vertices 0..n-1 whose classes are the bitmasks ``masks``."""
+    assignment = [0] * n
     for idx, mask in enumerate(masks):
         m = mask
         while m:
@@ -249,6 +244,13 @@ def find_colour_partition(g: Graph, k: int, budget: Budget | None = None) -> Col
             assignment[b.bit_length() - 1] = idx
             m ^= b
     return Colouring(assignment)
+
+
+def find_colour_partition(g: Graph, k: int, budget: Budget | None = None) -> Colouring | None:
+    """Some proper partition into <= k classes, or None.  Deterministic."""
+    holder: list[tuple[int, ...]] = []
+    _enumerate_partitions(g, k, 1, on_leaf=holder.append, budget=budget)
+    return _colouring_of(g.n, holder[0]) if holder else None
 
 
 def _greedy_upper_bound(g: Graph) -> int:
@@ -323,33 +325,12 @@ def chi_cr(g: Graph, budget: Budget | None = None) -> Fraction:
 def is_uniquely_k_colourable(g: Graph, k: int, budget: Budget | None = None) -> bool:
     """Exactly one partition into <= k independent classes, and chi = k.
 
-    Cheap necessary conditions (degree floor, connectivity, a neighbour in
-    every other class, two-class connectivity) run before the exact count.
+    Raises BudgetExceededError when the budget runs out before the decision.
     """
-    if k < 1:
-        raise ColouringError("k must be at least 1")
-    n = g.n
-    if n == 0:
-        return False
-    if k == 1:
-        return g.edge_count() == 0
-    if g.min_degree() < k - 1:
-        return False
-    if not is_connected(g):
-        return False
-    if chromatic_number(g, budget) != k:
-        return False
-    c = find_colour_partition(g, k, budget)
-    assert c is not None and c.k == k
-    masks = c.classes()
-    for v in range(n):
-        row = g.adj[v]
-        for idx, mask in enumerate(masks):
-            if idx != c.assignment[v] and not (row & mask):
-                return False  # v can move to class idx: a second partition
-    if not two_class_connected(g, c):
-        return False
-    return count_colour_partitions(g, k, cap=2, budget=budget) == 1
+    verdict = _decide(g, k, budget=budget).verdict
+    if verdict == "unknown-capped":
+        raise BudgetExceededError("budget exhausted before the decision")
+    return verdict == "yes"
 
 
 def kempe_change(g: Graph, c: Colouring, class_a: int, class_b: int, seed: int) -> Colouring:
@@ -450,48 +431,77 @@ class VerificationReport:
         }
 
 
-def verify(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> VerificationReport:
-    """Run every check of the battery and report them together.
+class _Decision(NamedTuple):
+    """What the colouring checks found.  ``chi`` is None when the budget ran
+    out before it was known.  ``colouring`` is the first partition the
+    enumeration reached, the one find_colour_partition returns, or None."""
 
-    The verdict is "yes" only when the exact partition count is 1 and
-    chi(g) = k; a count that merely hit ``cap`` yields "no" (there are at
-    least cap partitions), while budget exhaustion yields "unknown-capped".
+    chi: int | None
+    colouring: Colouring | None
+    count: int
+    capped: bool
+    verdict: str
+
+
+def _decide(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> _Decision:
+    """Run each colouring check once: chi, then one enumeration of the
+    partitions into <= k classes that stops at ``cap`` and keeps its first
+    partition as the colouring.  The enumeration is skipped when chi > k,
+    since no such partition exists then.
     """
     if k < 1:
         raise ColouringError("k must be at least 1")
     if cap < 2:
         raise ColouringError("cap below 2 cannot certify uniqueness")
-    n = g.n
-    min_degree_ok = n > 0 and g.min_degree() >= k - 1
-    connected_ok = n > 0 and is_connected(g)
-    connectivity_ok = vertex_connectivity_at_least(g, k - 1)
-    _, slack = xu_bound_holds(g, k)
-    two_ok: bool | None = None
-    partition_count = 0
-    capped = False
+    chi = None
+    first: list[tuple[int, ...]] = []
+    count, capped = 0, False
+
+    def keep_first(masks: tuple[int, ...]) -> None:
+        if not first:
+            first.append(masks)
+
     try:
         chi = chromatic_number(g, budget)
-        if chi == k and n > 0:
-            c = find_colour_partition(g, k, budget)
-            if c is not None:
-                two_ok = two_class_connected(g, c)
-        partition_count, capped = _enumerate_partitions(g, k, cap, budget=budget)
-        if chi == k and partition_count == 1:
-            verdict = "yes"
-        else:
-            verdict = "no"
+        if chi <= k:
+            count, capped = _enumerate_partitions(g, k, cap, keep_first, budget)
+        verdict = "yes" if chi == k and count == 1 else "no"
     except BudgetExceededError:
         verdict = "unknown-capped"
         capped = True
+    colouring = _colouring_of(g.n, first[0]) if first else None
+    return _Decision(chi, colouring, count, capped, verdict)
+
+
+def _report(g: Graph, k: int, decision: _Decision) -> VerificationReport:
+    """The report on a decision: adds the structural checks, and is the only
+    step that runs the (k-1)-connectivity test."""
+    n = g.n
+    two_ok: bool | None = None
+    if decision.chi == k and decision.colouring is not None:
+        two_ok = two_class_connected(g, decision.colouring)
     return VerificationReport(
         graph6=emit_graph6(g),
         k=k,
-        min_degree_ok=min_degree_ok,
-        connected_ok=connected_ok,
-        connectivity_ok=connectivity_ok,
-        xu_slack=slack,
+        min_degree_ok=n > 0 and g.min_degree() >= k - 1,
+        connected_ok=n > 0 and is_connected(g),
+        connectivity_ok=vertex_connectivity_at_least(g, k - 1),
+        xu_slack=xu_bound_holds(g, k)[1],
         two_class_connected_ok=two_ok,
-        partition_count=partition_count,
-        count_capped=capped,
-        uniquely_colourable=verdict,
+        partition_count=decision.count,
+        count_capped=decision.capped,
+        uniquely_colourable=decision.verdict,
     )
+
+
+def verify(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> VerificationReport:
+    """Run every check of the battery and report them together.
+
+    The colouring checks run first and once each, under the budget: the
+    chromatic number, then one enumeration of partitions into <= k classes
+    capped at ``cap``.  The structural checks follow, among them the
+    (k-1)-connectivity test, which the budget does not bound.  The verdict is "yes" only when the exact partition count is
+    1 and chi(g) = k; a count that merely hit ``cap`` yields "no" (there are
+    at least cap partitions), while budget exhaustion yields "unknown-capped".
+    """
+    return _report(g, k, _decide(g, k, cap, budget))

@@ -187,13 +187,17 @@ def _g6_order_prefix(n: int) -> str:
 
 def emit_graph6(g: Graph) -> str:
     """Standard graph6 encoding (column-major upper triangle, 6 bits/char)."""
-    n = g.n
+    return _pack_graph6(g.n, g.adj)
+
+
+def _pack_graph6(n: int, cols: Sequence[int]) -> str:
+    """graph6 of the order-n graph in which i < col are adjacent iff bit i
+    of ``cols[col]`` is set; bits at or above col are ignored."""
     out = [_g6_order_prefix(n)]
     acc = 0
     nbits = 0
-    adj = g.adj
     for col in range(1, n):
-        row = adj[col]
+        row = cols[col]
         for i in range(col):
             acc = (acc << 1) | ((row >> i) & 1)
             nbits += 1
@@ -255,19 +259,12 @@ def parse_graph6(text: str) -> Graph:
                 continue
             if (code >> shift) & 1:
                 # bit index -> (i, col) in column-major upper triangle
-                col = _g6_column[bit] if bit < len(_g6_column) else _g6_col_of(bit)
+                col = _g6_column[bit]
                 i = bit - col * (col - 1) // 2
                 rows[i] |= 1 << col
                 rows[col] |= 1 << i
             bit += 1
     return Graph.from_rows(rows)
-
-
-def _g6_col_of(bit: int) -> int:
-    col = 1
-    while col * (col + 1) // 2 <= bit:
-        col += 1
-    return col
 
 
 # bit index -> column lookup for the supported order range
@@ -604,24 +601,6 @@ def _canonical_placement(n: int, rows: Sequence[int]) -> list[int]:
     return best_place
 
 
-def _words_to_graph6(n: int, words: Sequence[int]) -> bytes:
-    out = [_g6_order_prefix(n)]
-    acc = 0
-    nbits = 0
-    for col in range(1, n):
-        word = words[col]
-        for shift in range(col - 1, -1, -1):
-            acc = (acc << 1) | ((word >> shift) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out).encode("ascii")
-
-
 def _canonical(n: int, rows: Sequence[int]) -> tuple[bytes, list[int]]:
     """Canonical graph6 bytes plus the placement that produced them."""
     placement = _canonical_placement(n, rows)
@@ -630,9 +609,9 @@ def _canonical(n: int, rows: Sequence[int]) -> tuple[bytes, list[int]]:
         rv = rows[placement[j]]
         x = 0
         for i in range(j):
-            x = (x << 1) | ((rv >> placement[i]) & 1)
+            x |= ((rv >> placement[i]) & 1) << i
         words.append(x)
-    return _words_to_graph6(n, words), placement
+    return _pack_graph6(n, words).encode("ascii"), placement
 
 
 def canonical_form(g: Graph) -> bytes:

@@ -252,3 +252,62 @@ class TestDegenerateOrders:
     def test_order_two(self):
         res = find_unique_k_witnesses(CensusTask(n=2, k=2))
         assert [w.graph6 for w in res.witnesses] == [emit_graph6(Graph(2, [(0, 1)]))]
+
+
+class TestTokenShape:
+    def test_task_dict_needs_exactly_the_task_keys(self):
+        d = CensusTask(n=6, k=3).to_dict()
+        with pytest.raises(ValueError, match="keys"):
+            CensusTask.from_dict(dict(d, colour="red"))
+        with pytest.raises(ValueError, match="keys"):
+            CensusTask.from_dict({key: v for key, v in d.items() if key != "k"})
+        with pytest.raises(ValueError, match="bad census task"):
+            CensusTask.from_dict(dict(d, n="6"))
+
+    def test_token_without_task_rejected(self):
+        token = generate(CensusTask(n=6, budget_nodes=1)).checkpoint
+        no_task = {key: v for key, v in token.items() if key != "task"}
+        with pytest.raises(ValueError, match="no task"):
+            resume(no_task)
+        with pytest.raises(ValueError, match="no task"):
+            checkpoint_loads(checkpoint_dumps(no_task))
+
+    @pytest.mark.parametrize("entry", [
+        "E~~w",  # order 6: not below the task's order
+        "B_",  # a path of order 3, but not its canonical labelling "BG"
+        "B",  # truncated graph6
+        " BG",  # canonical up to whitespace only
+        7,
+    ])
+    def test_pending_entries_validated(self, entry):
+        task = CensusTask(n=6, budget_nodes=1)
+        token = generate(task).checkpoint
+        bad = dict(token, pending=[*token["pending"], entry])
+        with pytest.raises(ValueError):
+            generate(task, checkpoint=bad)
+
+
+class TestEachCheckOnce:
+    def test_call_counts(self, monkeypatch):
+        import unicolor.census as census_module
+        import unicolor.colouring as colouring_module
+
+        calls = {"connectivity": 0, "chromatic": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        conn = counted("connectivity", colouring_module.vertex_connectivity_at_least)
+        monkeypatch.setattr(colouring_module, "vertex_connectivity_at_least", conn)
+        monkeypatch.setattr(census_module, "vertex_connectivity_at_least", conn, raising=False)
+        monkeypatch.setattr(colouring_module, "chromatic_number",
+                            counted("chromatic", colouring_module.chromatic_number))
+        res = find_unique_k_witnesses(CensusTask(n=6, k=3))
+        stats = res.stats
+        assert res.witnesses
+        assert calls["connectivity"] == stats["witnesses"] == len(res.witnesses)
+        assert calls["chromatic"] == stats["battery_candidates"] - stats.get("failed_xu", 0)

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from unicolor.census import checkpoint_loads
 from unicolor.cli import main
 from unicolor.constructions import builtin_catalog, nu
 from unicolor.graphs import emit_graph6, parse_graph6
@@ -191,3 +194,52 @@ class TestSample:
         code, _, _ = run(capsys, "sample", "--k", "2", "--n", "3", "--eps", "1/20",
                          "--dot", str(dot))
         assert code == 0 and dot.exists()
+
+
+class TestCheckDotBudget:
+    def test_dot_stays_inside_the_budget(self, capsys, tmp_path):
+        dot = tmp_path / "k8.dot"
+        code, _, _ = run(capsys, "check", "--catalog", "K8", "--k", "8",
+                         "--budget-nodes", "3", "--dot", str(dot))
+        assert code == 3
+        fills = [line for line in dot.read_text().splitlines() if "fillcolor=" in line]
+        assert len(fills) == 8
+        assert all('fillcolor="white"' in line for line in fills)
+
+
+def _budgeted_token(capsys, path) -> dict:
+    code, _, _ = run(capsys, "census", "--n", "5", "--k", "2",
+                     "--budget-nodes", "2", "--checkpoint", str(path))
+    assert code == 3
+    return json.loads(path.read_text())
+
+
+class TestResumeTokens:
+    @pytest.mark.parametrize("mutate", [
+        lambda t: {key: v for key, v in t.items() if key != "task"},
+        lambda t: dict(t, task=dict(t["task"], colour="red")),
+        lambda t: dict(t, task={key: v for key, v in t["task"].items() if key != "k"}),
+        lambda t: dict(t, pending=[*t["pending"], "D~{"]),  # order 5 = n
+        lambda t: dict(t, pending=[*t["pending"], "B_"]),  # not canonical
+    ], ids=["no-task", "unknown-task-key", "missing-task-key", "pending-order", "pending-canon"])
+    def test_malformed_token_is_an_input_error(self, capsys, tmp_path, mutate):
+        cp = tmp_path / "token.json"
+        token = _budgeted_token(capsys, cp)
+        cp.write_text(json.dumps(mutate(token)))
+        code, _, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    def test_failed_write_keeps_the_previous_token(self, capsys, tmp_path, monkeypatch):
+        cp = tmp_path / "token.json"
+        _budgeted_token(capsys, cp)
+        before = cp.read_text()
+
+        def crash(token):
+            raise RuntimeError("crash while writing the checkpoint")
+
+        monkeypatch.setattr("unicolor.cli.checkpoint_dumps", crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            main(["census", "--resume", "--checkpoint", str(cp)])
+        assert cp.read_text() == before
+        assert checkpoint_loads(before)["pending"]
