@@ -8,6 +8,16 @@ parent; duplicate siblings within one parent are removed by canonical form.
 No global "seen" set is needed, so runs can be split at checkpoints or
 across workers and merged without coordination.
 
+Most extensions are rejected before they are labelled (McKay, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998).  The canonically last
+vertex has maximum degree and lies in the top refined cell, so a new vertex
+of lower degree than some vertex of the child, read from the parent's
+degrees and the neighbourhood mask, is rejected at once, and one outside
+the top cell is rejected after refinement, whose colours the labelling then
+reuses.  No class is lost: a class whose canonically last vertex w leaves a
+graph isomorphic to the parent is also reached by the sibling mask that puts
+the new vertex in w's place, and that mask passes both tests.
+
 Hereditary constraints (triangle-freeness, edge-count ceiling) prune during
 generation, together with sound lookahead bounds for the degree floor and
 the edge-window lower bound: a partial graph is dropped only when no
@@ -33,6 +43,7 @@ from .colouring import VerificationReport, _decide, _report, xu_bound_holds
 from .graphs import (
     Graph,
     _canonical,
+    _canonical_if_last,
     _connected_within,
     canonical_form,
     independence_number,
@@ -227,13 +238,25 @@ def _extend_parent(
     accepted: list[tuple[Graph, bytes]] = []
     seen_here: set[bytes] = set()
     full_mask = (1 << n) - 1
-    parent_degrees = None
+    degrees = parent.degrees()
+    parent_degrees = sorted(degrees)
+    top = parent_degrees[-1]
+    top_set = sum(1 << v for v, d in enumerate(degrees) if d == top)
     for mask in masks:
+        # the new vertex must end with maximum degree to be canonically last
+        d = mask.bit_count()
+        if d < top or (d == top and mask & top_set):
+            _bump(stats, "rejected_not_canonical")
+            continue
         child = parent.with_vertex(mask)
         if r1 == n and task.connected and not _connected_within(child.adj, full_mask):
             _bump(stats, "full_rejected_connected")
             continue
-        canon, placement = _canonical(r1, child.adj)
+        labelled = _canonical_if_last(r1, child.adj, r)
+        if labelled is None:
+            _bump(stats, "rejected_not_canonical")
+            continue
+        canon, placement = labelled
         if canon in seen_here:
             _bump(stats, "duplicate_siblings")
             continue
@@ -241,8 +264,6 @@ def _extend_parent(
         w = placement[-1]
         if w != r:
             reduced = child.without_vertex(w)
-            if parent_degrees is None:
-                parent_degrees = sorted(parent.degrees())
             if (
                 reduced.edge_count() != e
                 or sorted(reduced.degrees()) != parent_degrees
@@ -341,20 +362,26 @@ def _check_token(token: dict, task: CensusTask | None = None, mode: str | None =
         raise ValueError("checkpoint token has no task")
     if not isinstance(token.get("pending"), list) or not isinstance(token.get("stats"), dict):
         raise ValueError("checkpoint token needs a pending list and a stats object")
+    if not isinstance(token.get("witnesses", []), list):
+        raise ValueError("checkpoint witnesses must be a list")
     if task is not None and token["task"] != task.to_dict():
         raise ValueError("checkpoint was produced by a different task")
+
+
+def _canonical_graph(s, lo: int, hi: int, what: str) -> Graph:
+    """The graph of ``s``, which must be the canonical graph6 string of a
+    graph of order lo..hi; ``what`` names the entry in the error."""
+    g = parse_graph6(s) if isinstance(s, str) else None
+    if g is None or not lo <= g.n <= hi or canonical_form(g) != s.encode("ascii"):
+        orders = str(lo) if lo == hi else f"{lo}..{hi}"
+        raise ValueError(f"{what} {s!r} is not a canonical graph6 of order {orders}")
+    return g
 
 
 def _load_stack(pending: list, n: int) -> list[tuple[Graph, bytes]]:
     """The search stack of a token's pending roots.  Each must be the
     canonical graph6 string of a graph of order 1..n-1."""
-    stack = []
-    for s in pending:
-        g = parse_graph6(s) if isinstance(s, str) else None
-        if g is None or not 1 <= g.n < n or canonical_form(g) != s.encode("ascii"):
-            raise ValueError(f"pending entry {s!r} is not a canonical graph6 of order 1..{n - 1}")
-        stack.append((g, s.encode("ascii")))
-    return stack
+    return [(_canonical_graph(s, 1, n - 1, "pending entry"), s.encode("ascii")) for s in pending]
 
 
 def _drive(
@@ -386,7 +413,8 @@ def _drive(
         _check_token(checkpoint, task, mode)
         stack = _load_stack(checkpoint["pending"], task.n)
         stats.update(checkpoint["stats"])
-        result.witnesses.extend(_witness_from_dict(d) for d in checkpoint.get("witnesses", []))
+        entries = checkpoint.get("witnesses", [])
+        result.witnesses.extend(_witness_from_dict(d, task) for d in entries)
     elif eff.n == 1:
         lo = eff.edge_window[0] if eff.edge_window is not None else 0
         if eff.min_degree <= 0 and lo <= 0:
@@ -435,14 +463,26 @@ def generate(
     return _drive(task, task, "generate", on_class, checkpoint)
 
 
-def _witness_from_dict(d: dict) -> Witness:
-    return Witness(
-        graph6=d["graph6"],
-        n=d["n"],
-        k=d["k"],
-        edges=d["edges"],
-        report=VerificationReport(**d["report"]),
-    )
+_WITNESS_KEYS = {f.name for f in fields(Witness)}
+_REPORT_KEYS = {f.name for f in fields(VerificationReport)}
+
+
+def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
+    """Inverse of Witness.to_json_dict for a witness of ``task``; raises
+    ValueError unless ``d`` and its report have exactly their keys and
+    ``d`` describes a canonical graph6 of order task.n."""
+    if (
+        not isinstance(d, dict)
+        or set(d) != _WITNESS_KEYS
+        or not isinstance(d["report"], dict)
+        or set(d["report"]) != _REPORT_KEYS
+    ):
+        raise ValueError(f"a checkpoint witness needs exactly the keys {sorted(_WITNESS_KEYS)}, "
+                         f"and its report the keys {sorted(_REPORT_KEYS)}")
+    g = _canonical_graph(d["graph6"], task.n, task.n, "witness")
+    if (d["n"], d["k"], d["edges"]) != (g.n, task.k, g.edge_count()):
+        raise ValueError(f"witness {d['graph6']!r} has the wrong order, k or edge count")
+    return Witness(**dict(d, report=VerificationReport(**d["report"])))
 
 
 def _battery(g: Graph, canon: bytes, task: CensusTask, stats: dict, out: list[Witness]) -> None:

@@ -514,18 +514,22 @@ def _refine_colours(n: int, rows: Sequence[int]) -> list[int]:
     return cols
 
 
-def _canonical_placement(n: int, rows: Sequence[int]) -> list[int]:
+def _canonical_placement(
+    n: int, rows: Sequence[int], cols: Sequence[int] | None = None
+) -> list[int]:
     """Vertex placement maximising the adjacency bitstring among labellings
     that list refinement cells in ascending colour order.
 
     Exact: refinement cells are isomorphism-invariant, so restricting the
     search to cell-respecting labellings keeps the form canonical while
     pruning most of the n! permutations.  Twin vertices (identical rows) are
-    interchangeable and only explored once per search node.
+    interchangeable and only explored once per search node.  ``cols`` are
+    the graph's refined colours when the caller has them already.
     """
     if n == 0:
         return []
-    cols = _refine_colours(n, rows)
+    if cols is None:
+        cols = _refine_colours(n, rows)
     by_colour = sorted(range(n), key=lambda v: (cols[v], v))
     pos_cells: list[list[int]] = []
     i = 0
@@ -601,9 +605,11 @@ def _canonical_placement(n: int, rows: Sequence[int]) -> list[int]:
     return best_place
 
 
-def _canonical(n: int, rows: Sequence[int]) -> tuple[bytes, list[int]]:
+def _canonical(
+    n: int, rows: Sequence[int], cols: Sequence[int] | None = None
+) -> tuple[bytes, list[int]]:
     """Canonical graph6 bytes plus the placement that produced them."""
-    placement = _canonical_placement(n, rows)
+    placement = _canonical_placement(n, rows, cols)
     words = []
     for j in range(n):
         rv = rows[placement[j]]
@@ -612,6 +618,21 @@ def _canonical(n: int, rows: Sequence[int]) -> tuple[bytes, list[int]]:
             x |= ((rv >> placement[i]) & 1) << i
         words.append(x)
     return _pack_graph6(n, words).encode("ascii"), placement
+
+
+def _canonical_if_last(n: int, rows: Sequence[int], v: int) -> tuple[bytes, list[int]] | None:
+    """_canonical(n, rows), or None when v cannot be the vertex it places last.
+
+    The placement lists cells in ascending colour order, and colours rank by
+    degree first, so its last vertex has maximum degree and lies in the top
+    refined cell.  A vertex outside that cell is rejected without labelling;
+    otherwise the labelling reuses the colours.  Callers that can read
+    degrees more cheaply than the rows may reject by degree first.
+    """
+    cols = _refine_colours(n, rows)
+    if cols[v] != max(cols):
+        return None
+    return _canonical(n, rows, cols)
 
 
 def canonical_form(g: Graph) -> bytes:

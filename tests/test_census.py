@@ -48,16 +48,17 @@ class TestTaskValidation:
 class TestClassCounts:
     # reference values are the classical counts of isomorphism classes
     def test_all_graphs(self):
-        for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044)]:
+        for n, want in [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34), (6, 156), (7, 1044),
+                        (8, 12346)]:  # A000088
             assert generate(CensusTask(n=n)).stats.get("visited", 0) == want
 
     def test_triangle_free(self):
-        for n, want in [(4, 7), (5, 14), (6, 38), (7, 107), (8, 410)]:
+        for n, want in [(4, 7), (5, 14), (6, 38), (7, 107), (8, 410), (9, 1897)]:  # A006785
             r = generate(CensusTask(n=n, triangle_free=True))
             assert r.stats.get("visited", 0) == want
 
     def test_connected(self):
-        for n, want in [(3, 2), (4, 6), (5, 21), (6, 112), (7, 853)]:
+        for n, want in [(3, 2), (4, 6), (5, 21), (6, 112), (7, 853), (8, 11117)]:  # A001349
             r = generate(CensusTask(n=n, connected=True))
             assert r.stats.get("visited", 0) == want
 
@@ -311,3 +312,23 @@ class TestEachCheckOnce:
         assert res.witnesses
         assert calls["connectivity"] == stats["witnesses"] == len(res.witnesses)
         assert calls["chromatic"] == stats["battery_candidates"] - stats.get("failed_xu", 0)
+
+
+class TestRejectBeforeLabelling:
+    def test_most_extensions_are_never_labelled(self, monkeypatch):
+        import unicolor.census as census_module
+        import unicolor.graphs as graphs_module
+
+        calls = 0
+        canonical = graphs_module._canonical
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return canonical(*args, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "_canonical", counted)
+        monkeypatch.setattr(census_module, "_canonical", counted)
+        res = generate(CensusTask(n=7))
+        assert res.stats["visited"] == 1044
+        assert calls < res.stats["extensions_tried"] / 2

@@ -214,6 +214,23 @@ def _budgeted_token(capsys, path) -> dict:
     return json.loads(path.read_text())
 
 
+# A witness of the task `census --n 5 --k 2`: the star K_{1,4}, canonically labelled.
+_STAR = {"graph6": "D?{", "n": 5, "k": 2, "edges": 4, "report": {
+    "graph6": "D?{", "k": 2, "min_degree_ok": True, "connected_ok": True,
+    "connectivity_ok": True, "xu_slack": 0, "two_class_connected_ok": True,
+    "partition_count": 1, "count_capped": False, "uniquely_colourable": "yes"}}
+
+
+def _with_witness(token: dict, report: dict | None = None, **changes) -> dict:
+    """``token`` holding the star witness, with some of its keys and of its
+    report's keys replaced, or dropped where the new value is None."""
+    def edit(d, ch):
+        return {key: v for key, v in {**d, **ch}.items() if v is not None}
+
+    witness = edit(dict(_STAR, report=edit(_STAR["report"], report or {})), changes)
+    return dict(token, witnesses=[witness])
+
+
 class TestResumeTokens:
     @pytest.mark.parametrize("mutate", [
         lambda t: {key: v for key, v in t.items() if key != "task"},
@@ -221,7 +238,21 @@ class TestResumeTokens:
         lambda t: dict(t, task={key: v for key, v in t["task"].items() if key != "k"}),
         lambda t: dict(t, pending=[*t["pending"], "D~{"]),  # order 5 = n
         lambda t: dict(t, pending=[*t["pending"], "B_"]),  # not canonical
-    ], ids=["no-task", "unknown-task-key", "missing-task-key", "pending-order", "pending-canon"])
+        lambda t: dict(t, witnesses={}),
+        lambda t: dict(t, witnesses=["D?{"]),
+        lambda t: _with_witness(t, edges=None),
+        lambda t: _with_witness(t, colour="red"),
+        lambda t: _with_witness(t, report={"k": None}),
+        lambda t: _with_witness(t, report={"colour": "red"}),
+        lambda t: dict(t, witnesses=[dict(_STAR, report="yes")]),
+        lambda t: _with_witness(t, graph6="CR"),  # order 4 < n
+        lambda t: _with_witness(t, graph6="Ds_"),  # the star, not canonically labelled
+        lambda t: _with_witness(t, graph6=5),
+        lambda t: _with_witness(t, edges=5),
+    ], ids=["no-task", "unknown-task-key", "missing-task-key", "pending-order", "pending-canon",
+            "witnesses-not-list", "witness-not-dict", "witness-missing-key", "witness-extra-key",
+            "report-missing-key", "report-extra-key", "report-not-dict", "witness-order",
+            "witness-canon", "witness-not-str", "witness-edges"])
     def test_malformed_token_is_an_input_error(self, capsys, tmp_path, mutate):
         cp = tmp_path / "token.json"
         token = _budgeted_token(capsys, cp)
@@ -229,6 +260,23 @@ class TestResumeTokens:
         code, _, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    def test_witnesses_survive_resume(self, capsys, tmp_path):
+        _, direct, _ = run(capsys, "census", "--n", "6", "--k", "2")
+        cp = tmp_path / "token.json"
+        code, _, _ = run(capsys, "census", "--n", "6", "--k", "2",
+                         "--budget-nodes", "30", "--checkpoint", str(cp))
+        assert code == 3 and json.loads(cp.read_text())["witnesses"]
+        while code == 3:
+            code, out, _ = run(capsys, "census", "--resume", "--checkpoint", str(cp))
+        assert code == 0 and out == direct
+
+    def test_well_formed_witness_is_kept(self, capsys, tmp_path):
+        cp = tmp_path / "token.json"
+        cp.write_text(json.dumps(_with_witness(_budgeted_token(capsys, cp))))
+        code, out, _ = run(capsys, "census", "--resume", "--checkpoint", str(cp))
+        assert code == 3
+        assert out_lines(out) == [_STAR]
 
     def test_failed_write_keeps_the_previous_token(self, capsys, tmp_path, monkeypatch):
         cp = tmp_path / "token.json"

@@ -12,6 +12,10 @@ from conftest import (
 )
 from unicolor.graphs import (
     Graph,
+    _canonical,
+    _canonical_if_last,
+    _canonical_placement,
+    _refine_colours,
     Graph6Error,
     OrderLimitError,
     canonical_form,
@@ -271,6 +275,23 @@ class TestCanonicalForm:
     def test_order_limit(self):
         with pytest.raises(OrderLimitError):
             canonical_form(Graph(33))
+
+    def test_last_vertex_has_top_degree_and_top_colour(self):
+        # census rejects extensions before labelling on exactly this invariant
+        rng = random.Random(7011)
+        for _ in range(300):
+            n = rng.randrange(1, 11)
+            g = random_graph(rng, n, rng.random())
+            last = _canonical_placement(n, g.adj)[-1]
+            cols = _refine_colours(n, g.adj)
+            assert g.degree(last) == g.max_degree()
+            assert cols[last] == max(cols)
+            for v in range(n):
+                got = _canonical_if_last(n, g.adj, v)
+                if cols[v] == max(cols):
+                    assert got == _canonical(n, g.adj)
+                else:
+                    assert got is None
 
     def test_automorphism_free_orbit_identity(self):
         # sum over classes of n!/|Aut| must recover the number of labelled
