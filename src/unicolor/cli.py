@@ -5,7 +5,8 @@ Four subcommands: ``check`` (exact unique-colourability verification),
 search), ``sample`` (sparse random k-partite graphs with short-cycle
 surgery).  Results go to stdout as JSON lines; progress and warnings go to
 stderr.  Exit codes: 0 success, 1 a checked graph failed verification,
-2 bad input, 3 a budget ran out before the answer was decided.
+2 bad input, 3 a budget ran out before the answer was decided (for
+``check``: before the verdict or the connectivity test).
 """
 
 from __future__ import annotations
@@ -152,7 +153,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for i, (label, g) in enumerate(graphs):
         budget = _budget_from(args)  # fresh allowance per graph
         decision = _decide(g, args.k, budget=budget)
-        report = _report(g, args.k, decision)
+        report = _report(g, args.k, decision, budget)
         row = {"name": label}
         row.update(report.to_json_dict())
         _emit(row)
@@ -162,7 +163,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             _write_dot(_dot_path(args.dot, i, len(graphs)), g, classes, name=f"check_{i}")
         if report.uniquely_colourable == "no":
             worst = max(worst, EXIT_FAILED)
-        elif report.uniquely_colourable == "unknown-capped":
+        if report.uniquely_colourable == "unknown-capped" or report.connectivity_ok is None:
             worst = max(worst, EXIT_BUDGET)
     return worst
 

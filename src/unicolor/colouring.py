@@ -402,14 +402,15 @@ class VerificationReport:
 
     ``uniquely_colourable`` is "yes" (exact count 1 and chi = k), "no"
     (count >= 2 or chi != k), or "unknown-capped" when the search budget ran
-    out before the decision.
+    out before the decision.  ``connectivity_ok`` is None when the budget ran
+    out during the (k-1)-connectivity test.
     """
 
     graph6: str
     k: int
     min_degree_ok: bool
     connected_ok: bool
-    connectivity_ok: bool
+    connectivity_ok: bool | None
     xu_slack: int
     two_class_connected_ok: bool | None
     partition_count: int
@@ -473,19 +474,26 @@ def _decide(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> _De
     return _Decision(chi, colouring, count, capped, verdict)
 
 
-def _report(g: Graph, k: int, decision: _Decision) -> VerificationReport:
+def _report(
+    g: Graph, k: int, decision: _Decision, budget: Budget | None = None
+) -> VerificationReport:
     """The report on a decision: adds the structural checks, and is the only
-    step that runs the (k-1)-connectivity test."""
+    step that runs the (k-1)-connectivity test, under ``budget``.
+    ``connectivity_ok`` is None when the budget runs out during that test."""
     n = g.n
     two_ok: bool | None = None
     if decision.chi == k and decision.colouring is not None:
         two_ok = two_class_connected(g, decision.colouring)
+    try:
+        connectivity_ok: bool | None = vertex_connectivity_at_least(g, k - 1, budget)
+    except BudgetExceededError:
+        connectivity_ok = None
     return VerificationReport(
         graph6=emit_graph6(g),
         k=k,
         min_degree_ok=n > 0 and g.min_degree() >= k - 1,
         connected_ok=n > 0 and is_connected(g),
-        connectivity_ok=vertex_connectivity_at_least(g, k - 1),
+        connectivity_ok=connectivity_ok,
         xu_slack=xu_bound_holds(g, k)[1],
         two_class_connected_ok=two_ok,
         partition_count=decision.count,
@@ -500,8 +508,10 @@ def verify(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> Veri
     The colouring checks run first and once each, under the budget: the
     chromatic number, then one enumeration of partitions into <= k classes
     capped at ``cap``.  The structural checks follow, among them the
-    (k-1)-connectivity test, which the budget does not bound.  The verdict is "yes" only when the exact partition count is
-    1 and chi(g) = k; a count that merely hit ``cap`` yields "no" (there are
-    at least cap partitions), while budget exhaustion yields "unknown-capped".
+    (k-1)-connectivity test, which spends what is left of the same budget
+    and reports ``connectivity_ok`` None when it runs out.  The verdict is
+    "yes" only when the exact partition count is 1 and chi(g) = k; a count
+    that merely hit ``cap`` yields "no" (there are at least cap partitions),
+    while budget exhaustion yields "unknown-capped".
     """
-    return _report(g, k, _decide(g, k, cap, budget))
+    return _report(g, k, _decide(g, k, cap, budget), budget)

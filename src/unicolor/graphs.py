@@ -11,6 +11,8 @@ import math
 from itertools import combinations
 from typing import Iterable, Sequence
 
+from .budget import Budget
+
 MAX_ORDER = 64
 CANON_MAX_ORDER = 32
 
@@ -302,60 +304,80 @@ def is_connected(g: Graph) -> bool:
     return _connected_within(g.adj, (1 << g.n) - 1)
 
 
-def _max_vertex_flow(g: Graph, s: int, t: int, cap_at: int) -> int:
-    """Number of internally vertex-disjoint s-t paths, capped at cap_at.
+def _split_rows(g: Graph) -> list[int]:
+    """Residual rows of g's node-split digraph before any flow.
 
-    Standard node-splitting: in(v)=2v, out(v)=2v+1, unit capacities.  BFS
-    augmentation; s and t are not split (source is out(s), sink is in(t)).
+    Vertex v becomes in(v) = v and out(v) = n + v, with one unit arc
+    in(v) -> out(v) and one unit arc out(u) -> in(v) for each edge uv.  Bit b
+    of row a is set iff arc a -> b has residual capacity; no two arcs join
+    the same pair of nodes in opposite directions, so capacities stay 0 or 1.
     """
     n = g.n
-    src = 2 * s + 1
-    snk = 2 * t
-    cap: dict[tuple[int, int], int] = {}
-    arcs: list[list[int]] = [[] for _ in range(2 * n)]
+    return [1 << (n + v) for v in range(n)] + list(g.adj)
 
-    def add(a: int, b: int, c: int) -> None:
-        if (a, b) not in cap:
-            cap[(a, b)] = 0
-            cap[(b, a)] = cap.get((b, a), 0)
-            arcs[a].append(b)
-            arcs[b].append(a)
-        cap[(a, b)] += c
 
-    for v in range(n):
-        add(2 * v, 2 * v + 1, 1)
-    for u, v in g.edges():
-        add(2 * u + 1, 2 * v, 1)
-        add(2 * v + 1, 2 * u, 1)
+def _max_vertex_flow(
+    split: Sequence[int], s: int, t: int, cap_at: int, budget: Budget | None = None
+) -> int:
+    """Number of internally vertex-disjoint s-t paths, capped at cap_at.
+
+    ``split`` holds the residual rows that _split_rows builds; they are
+    copied, not changed.  Each augmenting path is found by a breadth-first
+    search from out(s) to in(t) that takes a node's unseen successors as
+    ``row & ~seen``; each search spends one budget node.  s and t must not
+    be adjacent.
+    """
+    res = list(split)
+    n = len(res) >> 1
+    src = n + s
+    snk = 1 << t
+    parent = [0] * (2 * n)
     flow = 0
     while flow < cap_at:
-        parent = [-1] * (2 * n)
-        parent[src] = src
-        queue = [src]
-        for a in queue:
-            if a == snk:
-                break
-            for b in arcs[a]:
-                if parent[b] < 0 and cap.get((a, b), 0) > 0:
-                    parent[b] = a
-                    queue.append(b)
-        if parent[snk] < 0:
+        if budget is not None:
+            budget.spend()
+        seen = 1 << src
+        frontier = [src]
+        while frontier and not seen & snk:
+            nxt = []
+            for a in frontier:
+                new = res[a] & ~seen
+                if not new:
+                    continue
+                seen |= new
+                while new:
+                    b = new & -new
+                    new ^= b
+                    v = b.bit_length() - 1
+                    parent[v] = a
+                    nxt.append(v)
+                if seen & snk:
+                    break
+            frontier = nxt
+        if not seen & snk:
             break
-        b = snk
+        b = t
         while b != src:
             a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
+            res[a] ^= 1 << b
+            res[b] ^= 1 << a
             b = a
         flow += 1
     return flow
 
 
-def vertex_connectivity_at_least(g: Graph, t: int) -> bool:
+def vertex_connectivity_at_least(g: Graph, t: int, budget: Budget | None = None) -> bool:
     """True iff g is complete on >= t+1 vertices or no < t vertices separate it.
 
-    Decided via Menger: every non-adjacent pair must admit t internally
-    vertex-disjoint paths.
+    Even's test (S. Even, SIAM J. Comput. 4, 1975).  A separator S with
+    |S| < t misses one of the first t vertices, u; some vertex w cut off
+    from u by S is then not adjacent to u and has at most |S| < t internally
+    vertex-disjoint u-w paths (Menger).  So capped flows from each of
+    u = 0..t-1 to its non-neighbours decide the question: at most t*(n-1)
+    flows, on residual rows built once.  Minimum degree below t (kappa <=
+    delta) and t = 1 (connectivity) are answered without flows.  Each
+    augmenting-path search spends one node of ``budget``; BudgetExceededError
+    propagates.
     """
     if t <= 0:
         return True
@@ -364,10 +386,18 @@ def vertex_connectivity_at_least(g: Graph, t: int) -> bool:
     complete = all(g.adj[v] == full ^ (1 << v) for v in range(n))
     if complete:
         return n >= t + 1
-    for u in range(n):
-        row = g.adj[u]
-        for v in range(u + 1, n):
-            if not (row >> v) & 1 and _max_vertex_flow(g, u, v, t) < t:
+    if g.min_degree() < t:
+        return False
+    if t == 1:
+        return is_connected(g)
+    split = _split_rows(g)
+    for u in range(t):
+        # pairs with an earlier source were decided from that source
+        todo = full & ~g.adj[u] & ~((2 << u) - 1)
+        while todo:
+            b = todo & -todo
+            todo ^= b
+            if _max_vertex_flow(split, u, b.bit_length() - 1, t, budget) < t:
                 return False
     return True
 

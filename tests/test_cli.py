@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from unicolor.budget import Budget
 from unicolor.census import checkpoint_loads
 from unicolor.cli import main
+from unicolor.colouring import _decide
 from unicolor.constructions import builtin_catalog, nu
 from unicolor.graphs import emit_graph6, parse_graph6
 
@@ -194,6 +196,23 @@ class TestSample:
         code, _, _ = run(capsys, "sample", "--k", "2", "--n", "3", "--eps", "1/20",
                          "--dot", str(dot))
         assert code == 0 and dot.exists()
+
+
+class TestCheckConnectivityBudget:
+    def test_budget_runs_out_in_connectivity(self, capsys):
+        g = builtin_catalog()["figure1a"].graph
+        budget = Budget(max_nodes=10 ** 6)
+        assert _decide(g, 3, budget=budget).verdict == "yes"
+        decision_nodes = 10 ** 6 - budget.nodes_left
+        code, out, _ = run(capsys, "check", "--catalog", "figure1a", "--k", "3",
+                           "--budget-nodes", str(decision_nodes))
+        assert code == 3
+        assert '"connectivity_ok": null' in out
+        (row,) = out_lines(out)
+        assert row["uniquely_colourable"] == "yes" and row["connectivity_ok"] is None
+        code, out, _ = run(capsys, "check", "--catalog", "figure1a", "--k", "3",
+                           "--budget-nodes", str(decision_nodes + 1000))
+        assert code == 0 and out_lines(out)[0]["connectivity_ok"] is True
 
 
 class TestCheckDotBudget:

@@ -10,6 +10,8 @@ from conftest import (
     brute_vertex_connectivity_at_least,
     random_graph,
 )
+from unicolor.budget import Budget, BudgetExceededError
+from unicolor.constructions import builtin_catalog, nu
 from unicolor.graphs import (
     Graph,
     _canonical,
@@ -151,6 +153,64 @@ class TestConnectivity:
         assert vertex_connectivity_at_least(cycle_graph(8), 2)
         assert not vertex_connectivity_at_least(cycle_graph(8), 3)
         assert not vertex_connectivity_at_least(path_graph(5), 2)
+
+    def test_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(7011)
+        graphs = []
+        for i in range(30):
+            g = random_graph(rng, rng.randrange(12, 41), rng.uniform(0.15, 0.6) + i % 2 * 0.2)
+            # half of them lose every edge between two sides of a small
+            # random set, so that kappa falls below the minimum degree
+            if i % 2:
+                cut = set(rng.sample(range(g.n), rng.randrange(1, 5)))
+                side = {v: rng.random() < 0.5 for v in range(g.n)}
+                g = Graph(g.n, [(u, v) for u, v in g.edges()
+                                if u in cut or v in cut or side[u] == side[v]])
+            graphs.append(g)
+        catalog = builtin_catalog()
+        for name in ("K3", "figure1a", "figure1b"):
+            g = nu(catalog[name]).graph
+            placement = list(range(g.n))
+            rng.shuffle(placement)
+            graphs.append(g.permuted(placement))
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            kappa = nx.node_connectivity(h)
+            for t in range(g.min_degree() + 2):
+                assert vertex_connectivity_at_least(g, t) == (kappa >= t), (emit_graph6(g), t)
+
+    def test_flow_count(self, monkeypatch):
+        import unicolor.graphs as graphs_module
+
+        calls = 0
+        flow = graphs_module._max_vertex_flow
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return flow(*args, **kwargs)
+
+        monkeypatch.setattr(graphs_module, "_max_vertex_flow", counted)
+        g = nu(builtin_catalog()["figure1a"]).graph
+        assert g.n == 48
+        assert vertex_connectivity_at_least(g, 3)
+        assert 0 < calls <= 3 * (g.n - 1)
+        calls = 0
+        low = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
+        assert low.min_degree() == 2 and not vertex_connectivity_at_least(low, 3)
+        assert calls == 0
+
+    def test_budget(self):
+        with pytest.raises(BudgetExceededError):
+            vertex_connectivity_at_least(cycle_graph(8), 2, Budget(max_nodes=0))
+        budget = Budget(max_nodes=10 ** 6)
+        assert vertex_connectivity_at_least(cycle_graph(8), 2, budget)
+        assert budget.nodes_left < 10 ** 6
+        # complete graphs are decided without a search
+        assert vertex_connectivity_at_least(complete_graph(8), 7, Budget(max_nodes=0))
 
 
 class TestCycles:
