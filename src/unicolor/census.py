@@ -25,10 +25,10 @@ sequence of vertex additions can repair it.  Connectivity and the exact
 degree floor / edge window apply at full order.
 
 The witness search runs one battery per full-order class, cheapest check
-first: the Xu edge bound, then the colouring decision (the chromatic number,
-then one partition enumeration capped at two), then the balanced test.  Only
-witnesses get a report, and so the (k-1)-connectivity test, which a
-uniquely k-colourable graph always passes.
+first: the Xu edge bound, then the colouring decision (one partition
+enumeration capped at two; the chromatic number is never computed), then the
+balanced test.  Only witnesses get a report, and so the (k-1)-connectivity
+test, which a uniquely k-colourable graph always passes.
 """
 
 from __future__ import annotations
@@ -488,8 +488,8 @@ def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
 def _battery(g: Graph, canon: bytes, task: CensusTask, stats: dict, out: list[Witness]) -> None:
     """Decide one full-order class, cheapest check first.
 
-    The Xu edge bound, then the colouring decision (chi and one capped
-    partition enumeration), then the balanced test on the colouring that
+    The Xu edge bound, then the colouring decision (one partition
+    enumeration capped at two), then the balanced test on the colouring that
     decision found.  Only a witness gets a report, and with it the
     (k-1)-connectivity test, which cannot fail there: a uniquely
     k-colourable graph is (k-1)-connected (Chartrand and Geller, 1969).

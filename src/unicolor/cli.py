@@ -111,7 +111,10 @@ def _read_lines(path: str) -> list[str]:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return [line.strip() for line in raw.splitlines() if line.strip() and not line.lstrip().startswith("#")]
+    lines = [line.strip() for line in raw.splitlines() if line.strip() and not line.lstrip().startswith("#")]
+    if not lines:
+        raise InputError(f"{path} holds no usable lines")
+    return lines
 
 
 def _gather_graphs(args: argparse.Namespace) -> list[tuple[str, Graph]]:
@@ -197,8 +200,6 @@ def _coloured_inputs(args: argparse.Namespace) -> list[tuple[str, ColouredGraph]
             out.append((f"{args.input}:{i + 1}", ColouredGraph(g, colouring)))
         except ConstructionError as exc:
             raise InputError(f"{args.input}:{i + 1}: {exc}") from None
-    if not out:
-        raise InputError(f"{args.input} holds no usable lines")
     return out
 
 
@@ -236,11 +237,14 @@ def _write_checkpoint(path: str, token: dict) -> None:
     """Write the token beside ``path``, then rename it over ``path``, so that
     a crash during the write leaves the previous token intact."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(checkpoint_dumps(token))
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="ascii") as fh:
+            fh.write(checkpoint_dumps(token))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InputError(f"cannot write checkpoint {path}: {exc}") from None
 
 
 def cmd_census(args: argparse.Namespace) -> int:

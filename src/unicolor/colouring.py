@@ -120,7 +120,7 @@ def _enumerate_partitions(
     on_leaf: Callable[[tuple[int, ...]], None] | None = None,
     budget: Budget | None = None,
 ) -> tuple[int, bool]:
-    """Backtracking core shared by counting, search and sigma.
+    """The one search behind counting, search, chi, sigma and the decision.
 
     Enumerates every partition of V(g) into at most k non-empty independent
     classes exactly once.  Vertices are chosen by descending saturation
@@ -253,54 +253,23 @@ def find_colour_partition(g: Graph, k: int, budget: Budget | None = None) -> Col
     return _colouring_of(g.n, holder[0]) if holder else None
 
 
-def _greedy_upper_bound(g: Graph) -> int:
-    """DSATUR greedy colouring; returns the number of colours used."""
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adj
-    deg = [r.bit_count() for r in adj]
-    colour = [-1] * n
-    forb = [0] * n
-    used = 0
-    for _ in range(n):
-        v = -1
-        best_key = (-1, -1, 0)
-        for u in range(n):
-            if colour[u] < 0:
-                key = (forb[u].bit_count(), deg[u], -u)
-                if key > best_key:
-                    best_key = key
-                    v = u
-        free = ~forb[v]
-        c = (free & -free).bit_length() - 1
-        colour[v] = c
-        used = max(used, c + 1)
-        m = adj[v]
-        while m:
-            b = m & -m
-            forb[b.bit_length() - 1] |= 1 << c
-            m ^= b
-    return used
-
-
 def chromatic_number(g: Graph, budget: Budget | None = None) -> int:
-    """Exact chromatic number; 0 for the order-0 graph by convention."""
+    """Exact chromatic number; 0 for the order-0 graph by convention.
+
+    Tries k = omega(g), omega(g) + 1, ... until a partition into <= k classes
+    exists.  The enumeration's first path is the DSATUR greedy colouring, so
+    once k reaches the greedy bound the search succeeds in about n nodes.
+    """
     if g.n == 0:
         return 0
-    lo = clique_number(g)
-    hi = _greedy_upper_bound(g)
-    for k in range(lo, hi):
-        if count_colour_partitions(g, k, cap=1, budget=budget) >= 1:
-            return k
-    return hi
+    k = clique_number(g)
+    while count_colour_partitions(g, k, cap=1, budget=budget) == 0:
+        k += 1
+    return k
 
 
-def sigma(g: Graph, budget: Budget | None = None) -> int:
-    """Smallest class size over all chromatic colourings (full enumeration)."""
-    if g.n == 0:
-        raise ColouringError("sigma undefined for the order-0 graph")
-    chi = chromatic_number(g, budget)
+def _sigma(g: Graph, chi: int, budget: Budget | None) -> int:
+    """Smallest class size over all partitions into ``chi`` = chi(g) classes."""
     best = g.n + 1
 
     def leaf(masks: tuple[int, ...]) -> None:
@@ -313,13 +282,19 @@ def sigma(g: Graph, budget: Budget | None = None) -> int:
     return best
 
 
+def sigma(g: Graph, budget: Budget | None = None) -> int:
+    """Smallest class size over all chromatic colourings (full enumeration)."""
+    if g.n == 0:
+        raise ColouringError("sigma undefined for the order-0 graph")
+    return _sigma(g, chromatic_number(g, budget), budget)
+
+
 def chi_cr(g: Graph, budget: Budget | None = None) -> Fraction:
     """Critical chromatic number (chi - 1) * n / (n - sigma), exact rational."""
     chi = chromatic_number(g, budget)
     if chi <= 1:
         raise ColouringError("critical chromatic number undefined when chi <= 1")
-    s = sigma(g, budget)
-    return Fraction((chi - 1) * g.n, g.n - s)
+    return Fraction((chi - 1) * g.n, g.n - _sigma(g, chi, budget))
 
 
 def is_uniquely_k_colourable(g: Graph, k: int, budget: Budget | None = None) -> bool:
@@ -400,10 +375,12 @@ def xu_bound_holds(g: Graph, k: int) -> tuple[bool, int]:
 class VerificationReport:
     """Outcome of the full uniquely-k-colourable battery on one graph.
 
-    ``uniquely_colourable`` is "yes" (exact count 1 and chi = k), "no"
-    (count >= 2 or chi != k), or "unknown-capped" when the search budget ran
+    ``uniquely_colourable`` is "yes" (exactly one partition into <= k
+    classes, and it has k classes), "no" (any other count, or one partition
+    of fewer than k classes), or "unknown-capped" when the search budget ran
     out before the decision.  ``connectivity_ok`` is None when the budget ran
-    out during the (k-1)-connectivity test.
+    out during the (k-1)-connectivity test.  ``two_class_connected_ok`` is
+    None when chi != k or when the budget ran out before chi = k was known.
     """
 
     graph6: str
@@ -433,11 +410,9 @@ class VerificationReport:
 
 
 class _Decision(NamedTuple):
-    """What the colouring checks found.  ``chi`` is None when the budget ran
-    out before it was known.  ``colouring`` is the first partition the
-    enumeration reached, the one find_colour_partition returns, or None."""
+    """What the colouring enumeration found.  ``colouring`` is the first
+    partition it reached, the one find_colour_partition returns, or None."""
 
-    chi: int | None
     colouring: Colouring | None
     count: int
     capped: bool
@@ -445,16 +420,20 @@ class _Decision(NamedTuple):
 
 
 def _decide(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> _Decision:
-    """Run each colouring check once: chi, then one enumeration of the
-    partitions into <= k classes that stops at ``cap`` and keeps its first
-    partition as the colouring.  The enumeration is skipped when chi > k,
-    since no such partition exists then.
+    """One enumeration of the partitions into <= k classes, stopped at
+    ``cap``, keeping its first partition as the colouring.
+
+    The verdict is "yes" iff the count is 1 and that partition has exactly
+    k classes, which is exact without the chromatic number.  When chi = k
+    every partition has k classes.  When chi < k, either some class of a
+    chi-colouring has two vertices, and splitting it gives a second
+    partition, or the graph is K_n with n < k, whose one partition has n
+    classes.
     """
     if k < 1:
         raise ColouringError("k must be at least 1")
     if cap < 2:
         raise ColouringError("cap below 2 cannot certify uniqueness")
-    chi = None
     first: list[tuple[int, ...]] = []
     count, capped = 0, False
 
@@ -463,15 +442,13 @@ def _decide(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> _De
             first.append(masks)
 
     try:
-        chi = chromatic_number(g, budget)
-        if chi <= k:
-            count, capped = _enumerate_partitions(g, k, cap, keep_first, budget)
-        verdict = "yes" if chi == k and count == 1 else "no"
+        count, capped = _enumerate_partitions(g, k, cap, keep_first, budget)
+        verdict = "yes" if count == 1 and len(first[0]) == k else "no"
     except BudgetExceededError:
         verdict = "unknown-capped"
         capped = True
     colouring = _colouring_of(g.n, first[0]) if first else None
-    return _Decision(chi, colouring, count, capped, verdict)
+    return _Decision(colouring, count, capped, verdict)
 
 
 def _report(
@@ -479,11 +456,20 @@ def _report(
 ) -> VerificationReport:
     """The report on a decision: adds the structural checks, and is the only
     step that runs the (k-1)-connectivity test, under ``budget``.
-    ``connectivity_ok`` is None when the budget runs out during that test."""
+    ``connectivity_ok`` is None when the budget runs out during that test.
+    ``two_class_connected_ok`` is None unless chi(g) = k is known: a count of
+    1 settles it, a larger count one more enumeration at k - 1 under the
+    same budget; a count of 0 or a first partition of fewer than k classes
+    means chi != k."""
     n = g.n
-    two_ok: bool | None = None
-    if decision.chi == k and decision.colouring is not None:
-        two_ok = two_class_connected(g, decision.colouring)
+    first = decision.colouring
+    chi_is_k = decision.count == 1 and first.k == k
+    if decision.count >= 2 and first.k == k:  # chi = k unless g is (k-1)-colourable
+        try:
+            chi_is_k = count_colour_partitions(g, k - 1, 1, budget) == 0
+        except BudgetExceededError:
+            pass
+    two_ok = two_class_connected(g, first) if chi_is_k else None
     try:
         connectivity_ok: bool | None = vertex_connectivity_at_least(g, k - 1, budget)
     except BudgetExceededError:
@@ -505,13 +491,13 @@ def _report(
 def verify(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> VerificationReport:
     """Run every check of the battery and report them together.
 
-    The colouring checks run first and once each, under the budget: the
-    chromatic number, then one enumeration of partitions into <= k classes
-    capped at ``cap``.  The structural checks follow, among them the
-    (k-1)-connectivity test, which spends what is left of the same budget
-    and reports ``connectivity_ok`` None when it runs out.  The verdict is
-    "yes" only when the exact partition count is 1 and chi(g) = k; a count
-    that merely hit ``cap`` yields "no" (there are at least cap partitions),
+    The colouring decision runs first, under the budget: one enumeration of
+    the partitions into <= k classes capped at ``cap``.  The structural
+    checks follow, among them the (k-1)-connectivity test, which spends what
+    is left of the same budget and reports ``connectivity_ok`` None when it
+    runs out.  The verdict is "yes" only when the exact partition count is 1
+    and that partition has k classes, that is chi(g) = k; a count that
+    merely hit ``cap`` yields "no" (there are at least cap partitions),
     while budget exhaustion yields "unknown-capped".
     """
     return _report(g, k, _decide(g, k, cap, budget), budget)

@@ -182,7 +182,7 @@ class TestWitnessSearch:
         assert len(res5.witnesses) == 5
 
     def test_matches_brute_definition(self):
-        for n, k in [(5, 2), (5, 3), (6, 3)]:
+        for n, k in [(5, 2), (5, 3), (6, 3), (7, 3), (7, 4)]:
             expected = set()
 
             def sieve(g: Graph) -> None:
@@ -311,7 +311,8 @@ class TestEachCheckOnce:
         stats = res.stats
         assert res.witnesses
         assert calls["connectivity"] == stats["witnesses"] == len(res.witnesses)
-        assert calls["chromatic"] == stats["battery_candidates"] - stats.get("failed_xu", 0)
+        assert stats["battery_candidates"] > stats.get("failed_xu", 0)
+        assert calls["chromatic"] == 0
 
 
 class TestRejectBeforeLabelling:

@@ -48,6 +48,14 @@ class TestCheck:
         assert len(rows) == 2
         assert code == 1  # the K4 row fails
 
+    def test_empty_input_file(self, capsys, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("# only a comment\n\n")
+        for argv in (("check", "--k", "3"), ("nu",)):
+            code, out, err = run(capsys, *argv, "--input", str(path))
+            assert code == 2 and out == ""
+            assert "holds no usable lines" in err
+
     def test_source_exclusivity(self, capsys):
         code, _, err = run(capsys, "check", "Bw", "--catalog", "K3", "--k", "3")
         assert code == 2 and "exactly one" in err
@@ -145,6 +153,14 @@ class TestCensus:
         assert code == 0
         direct_code, direct_out, _ = run(capsys, "census", "--n", "5", "--k", "2")
         assert [r["graph6"] for r in rows] == [r["graph6"] for r in out_lines(direct_out)]
+
+    def test_unwritable_checkpoint_is_an_input_error(self, capsys, tmp_path):
+        cp = tmp_path / "missing-dir" / "token.json"
+        code, _, err = run(capsys, "census", "--n", "6", "--k", "2",
+                           "--budget-nodes", "5", "--checkpoint", str(cp))
+        assert code == 2
+        assert "cannot write checkpoint" in err and "Traceback" not in err
+        assert not cp.parent.exists()
 
     def test_resume_needs_checkpoint_path(self, capsys):
         code, _, err = run(capsys, "census", "--resume")

@@ -179,6 +179,32 @@ class TestUniqueColourability:
             positives += brute
         assert positives > 10
 
+    def test_decision_without_chi_matches_brute(self):
+        # the verdict, the capped count and whether chi = k (which only
+        # two_class_connected_ok reveals) against the restricted-growth oracle
+        rng = random.Random(4450)
+        rows = {"chi = k, count >= 2": 0, "chi < k": 0, "yes": 0}
+        for _ in range(160):
+            n = rng.randrange(1, 8)
+            g = random_graph(rng, n, rng.random())
+            chi = brute_chromatic_number(g)
+            for k in range(1, 6):
+                brute = brute_count_partitions(g, k, cap=2)
+                report = verify(g, k)
+                label = (emit_graph6(g), k)
+                expected = "yes" if chi == k and brute == 1 else "no"
+                assert report.uniquely_colourable == expected, label
+                assert report.partition_count == min(brute, 2), label
+                assert report.count_capped == (brute >= 2), label
+                assert (report.two_class_connected_ok is None) == (chi != k), label
+                if chi == k:
+                    first = find_colour_partition(g, k)
+                    assert report.two_class_connected_ok == two_class_connected(g, first), label
+                rows["chi = k, count >= 2"] += chi == k and brute >= 2
+                rows["chi < k"] += chi < k
+                rows["yes"] += expected == "yes"
+        assert min(rows.values()) > 20, rows
+
     def test_knowns(self):
         assert is_uniquely_k_colourable(complete_graph(5), 5)
         assert is_uniquely_k_colourable(cycle_graph(6), 2)  # connected bipartite
