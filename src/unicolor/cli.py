@@ -244,11 +244,32 @@ def _write_checkpoint(path: str, token: dict) -> None:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError as exc:
+        try:
+            os.remove(tmp)
+        except OSError:
+            pass
         raise InputError(f"cannot write checkpoint {path}: {exc}") from None
+
+
+def _check_checkpoint_path(path: str) -> None:
+    """Refuse a checkpoint path that could not be written, before any search
+    is spent on a run whose token would then be lost."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(parent):
+        problem = f"directory {parent} does not exist"
+    elif not os.access(parent, os.W_OK):
+        problem = f"directory {parent} is not writable"
+    else:
+        return
+    raise InputError(f"cannot write checkpoint {path}: {problem}")
 
 
 def cmd_census(args: argparse.Namespace) -> int:
     threads = args.threads if args.threads is not None else _default_threads()
+    if args.checkpoint:
+        _check_checkpoint_path(args.checkpoint)
     if args.resume:
         if not args.checkpoint:
             raise InputError("--resume needs --checkpoint PATH")

@@ -5,6 +5,13 @@ classes; class labels carry no meaning.  Counting therefore counts
 partitions, not labelled colourings, using "open-class" symmetry breaking:
 class j may be used for the first time only when classes 0..j-1 are already
 in use, so every partition is generated exactly once.
+
+The search colours next the vertex of largest (saturation, degree, -index),
+Brelaz's DSATUR order (Comm. ACM 22, 1979), without scanning: it relabels
+the vertices by descending degree once per call and keeps one bitmask of
+uncoloured vertices per saturation level, so the choice is the lowest bit of
+the highest nonempty level.  When only counting, the leaves below the last
+uncoloured vertex are added, and charged to the budget, in one step.
 """
 
 from __future__ import annotations
@@ -126,6 +133,14 @@ def _enumerate_partitions(
     classes exactly once.  Vertices are chosen by descending saturation
     degree (ties: degree, then lowest index).  Returns (count, capped);
     capped means enumeration stopped because ``cap`` leaves were reached.
+
+    Position p is the p-th vertex by descending degree (ties: lowest index).
+    ``by_sat[s]`` holds the uncoloured positions whose neighbours use s
+    classes; a neighbour that gains a class moves up one level.  ``obit[p]``
+    is the bit of position p's vertex, so the class masks handed to
+    ``on_leaf`` are in the graph's own labels.  Without ``on_leaf``, the
+    last uncoloured vertex's leaves, one per class it may join, are counted
+    and charged to the budget together.
     """
     n = g.n
     if k < 0:
@@ -136,82 +151,84 @@ def _enumerate_partitions(
         return (1 if cap is None or cap >= 1 else 0, False)
     if k == 0:
         return 0, False
-    adj = g.adj
-    deg = [r.bit_count() for r in adj]
-    full = (1 << k) - 1
-    forb = [0] * n  # classes already adjacent to v
-    class_masks: list[int] = []
+    rows = g.adj
+    order = sorted(range(n), key=[-r.bit_count() for r in rows].__getitem__)
+    pbit = [0] * n  # vertex -> bit of its position
+    for p, v in enumerate(order):
+        pbit[v] = 1 << p
+    adj = []
+    for v in order:
+        row = 0
+        m = rows[v]
+        while m:
+            b = m & -m
+            row |= pbit[b.bit_length() - 1]
+            m ^= b
+        adj.append(row)
+    obit = [1 << v for v in order]
+    by_sat = [0] * (k + 1)
+    by_sat[0] = (1 << n) - 1
+    nbr = [0] * k  # positions adjacent to each class
+    class_masks = [0] * k  # each class, in vertex bits
+    top = k - 1
     count = 0
 
     def rec(remaining: int, nopen: int) -> None:
         nonlocal count
         if budget is not None:
             budget.spend()
-        if remaining == 0:
+        if not remaining:
             count += 1
             if on_leaf is not None:
-                on_leaf(tuple(class_masks))
+                on_leaf(tuple(class_masks[:nopen]))
             if cap is not None and count >= cap:
                 raise _CapReached
             return
-        # pick the most saturated remaining vertex
-        v = -1
-        best_key = (-1, -1, 0)
-        m = remaining
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
-            key = (forb[u].bit_count(), deg[u], -u)
-            if key > best_key:
-                best_key = key
-                v = u
-        vbit = 1 << v
+        s = nopen
+        while not by_sat[s]:
+            s -= 1
+        level = by_sat[s]
+        vbit = level & -level
         rest = remaining ^ vbit
-        row = adj[v]
-        avail = ~forb[v] & ((1 << nopen) - 1)
-        while avail:
-            cbit = avail & -avail
-            avail ^= cbit
-            c = cbit.bit_length() - 1
-            class_masks[c] |= vbit
-            changed = []
-            dead = False
-            mm = row & rest
-            while mm:
-                b = mm & -mm
-                u = b.bit_length() - 1
-                mm ^= b
-                if not (forb[u] >> c) & 1:
-                    forb[u] |= cbit
-                    changed.append(u)
-                    if nopen == k and forb[u] == full:
-                        dead = True
-            if not dead:
-                rec(rest, nopen)
-            for u in changed:
-                forb[u] ^= cbit
-            class_masks[c] ^= vbit
-        if nopen < k:
-            c = nopen
-            cbit = 1 << c
-            class_masks.append(vbit)
-            changed = []
-            dead = False
-            mm = row & rest
-            while mm:
-                b = mm & -mm
-                u = b.bit_length() - 1
-                mm ^= b
-                forb[u] |= cbit
-                changed.append(u)
-                if nopen + 1 == k and forb[u] == full:
-                    dead = True
-            if not dead:
-                rec(rest, nopen + 1)
-            for u in changed:
-                forb[u] ^= cbit
-            class_masks.pop()
+        if not rest and on_leaf is None:
+            leaves = nopen - s + (nopen < k)
+            if cap is not None:
+                leaves = min(leaves, cap - count)
+            if budget is not None:
+                budget.spend(leaves)
+            count += leaves
+            if count == cap:
+                raise _CapReached
+            return
+        by_sat[s] = level ^ vbit
+        saved = by_sat[:]
+        v = vbit.bit_length() - 1
+        row = adj[v] & rest
+        ob = obit[v]
+        # the open classes, lowest first, then a new class if one is left
+        for c in range(nopen + 1 if nopen < k else k):
+            old = nbr[c]
+            if old & vbit:
+                continue
+            gain = row & ~old
+            now_open = nopen + 1 if c == nopen else nopen
+            if now_open == k and gain & by_sat[top]:
+                continue  # a neighbour would see all k classes
+            t = nopen
+            while gain:
+                x = by_sat[t] & gain
+                if x:
+                    by_sat[t] ^= x
+                    by_sat[t + 1] |= x
+                    gain ^= x
+                t -= 1
+            nbr[c] = old | row
+            class_masks[c] |= ob
+            rec(rest, now_open)
+            class_masks[c] ^= ob
+            nbr[c] = old
+            by_sat[:] = saved
+        by_sat[s] = level
 
     try:
         rec((1 << n) - 1, 0)
@@ -274,7 +291,7 @@ def _sigma(g: Graph, chi: int, budget: Budget | None) -> int:
 
     def leaf(masks: tuple[int, ...]) -> None:
         nonlocal best
-        small = min(m.bit_count() for m in masks)
+        small = min(map(int.bit_count, masks))
         if small < best:
             best = small
 

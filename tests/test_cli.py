@@ -155,12 +155,34 @@ class TestCensus:
         assert [r["graph6"] for r in rows] == [r["graph6"] for r in out_lines(direct_out)]
 
     def test_unwritable_checkpoint_is_an_input_error(self, capsys, tmp_path):
-        cp = tmp_path / "missing-dir" / "token.json"
+        cp = tmp_path / "no" / "such" / "dir" / "t.json"
         code, _, err = run(capsys, "census", "--n", "6", "--k", "2",
                            "--budget-nodes", "5", "--checkpoint", str(cp))
         assert code == 2
         assert "cannot write checkpoint" in err and "Traceback" not in err
+        assert "census stats" not in err  # refused before the search, not after it
         assert not cp.parent.exists()
+
+    def test_directory_checkpoint_is_refused_and_leaves_no_tmp(self, capsys, tmp_path):
+        cp = tmp_path / "t.json"
+        cp.mkdir()
+        code, _, err = run(capsys, "census", "--n", "6", "--k", "2",
+                           "--budget-nodes", "5", "--checkpoint", str(cp))
+        assert code == 2 and "is a directory" in err
+        assert "census stats" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+    def test_failed_write_removes_the_tmp_file(self, capsys, tmp_path, monkeypatch):
+        cp = tmp_path / "t.json"
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr("unicolor.cli.os.replace", refuse)
+        code, _, err = run(capsys, "census", "--n", "6", "--k", "2",
+                           "--budget-nodes", "5", "--checkpoint", str(cp))
+        assert code == 2 and "cannot write checkpoint" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_resume_needs_checkpoint_path(self, capsys):
         code, _, err = run(capsys, "census", "--resume")
@@ -312,6 +334,15 @@ class TestResumeTokens:
         code, out, _ = run(capsys, "census", "--resume", "--checkpoint", str(cp))
         assert code == 3
         assert out_lines(out) == [_STAR]
+
+    def test_unwritable_checkpoint_is_refused_before_resuming(self, capsys, tmp_path, monkeypatch):
+        cp = tmp_path / "token.json"
+        _budgeted_token(capsys, cp)
+        before = cp.read_text()
+        monkeypatch.setattr("unicolor.cli.os.access", lambda path, mode: False)
+        code, _, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
+        assert code == 2 and "not writable" in err
+        assert "census stats" not in err and cp.read_text() == before
 
     def test_failed_write_keeps_the_previous_token(self, capsys, tmp_path, monkeypatch):
         cp = tmp_path / "token.json"

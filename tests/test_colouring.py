@@ -9,6 +9,7 @@ from unicolor.budget import Budget, BudgetExceededError
 from unicolor.colouring import (
     Colouring,
     ColouringError,
+    _enumerate_partitions,
     chi_cr,
     chromatic_number,
     count_colour_partitions,
@@ -21,7 +22,14 @@ from unicolor.colouring import (
     verify,
     xu_bound_holds,
 )
-from unicolor.graphs import Graph, complete_graph, cycle_graph, emit_graph6, path_graph
+from unicolor.graphs import (
+    Graph,
+    complete_graph,
+    complete_join,
+    cycle_graph,
+    emit_graph6,
+    path_graph,
+)
 
 
 class TestColouring:
@@ -91,6 +99,94 @@ class TestCounting:
         c = find_colour_partition(cycle_graph(6), 2)
         assert c is not None and is_proper(cycle_graph(6), c)
         assert find_colour_partition(cycle_graph(5), 2) is None
+
+
+def _spent(budget: Budget) -> int:
+    return 10 ** 9 - budget.nodes_left
+
+
+def _mycielskian(g: Graph) -> Graph:
+    """Shadow n + v copies the neighbourhood of v; apex 2n joins every shadow."""
+    n = g.n
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+    edges += [(u, n + v) for u, v in edges] + [(v, n + u) for u, v in edges]
+    edges += [(n + v, 2 * n) for v in range(n)]
+    return Graph(2 * n + 1, edges)
+
+
+def _dsatur_greedy(g: Graph) -> Colouring:
+    """Brelaz's greedy colouring: the uncoloured vertex of largest
+    (saturation, degree, -index) takes the lowest class its neighbours miss."""
+    colour = [-1] * g.n
+    for _ in range(g.n):
+        def key(u: int) -> tuple[int, int, int]:
+            seen = {colour[w] for w in range(g.n) if g.has_edge(u, w) and colour[w] >= 0}
+            return (len(seen), g.degree(u), -u)
+
+        v = max((u for u in range(g.n) if colour[u] < 0), key=key)
+        used = {colour[w] for w in range(g.n) if g.has_edge(v, w)}
+        colour[v] = min(c for c in range(g.n) if c not in used)
+    return Colouring(colour)
+
+
+class TestEnumerationKernel:
+    def test_differential_against_brute_force(self):
+        rng = random.Random(4300)
+        rows = 0
+        for n in [rng.randrange(0, 9) for _ in range(78)] + [9, 10]:  # brute force is slow past 8
+            g = random_graph(rng, n, rng.random())
+            for k in range(6):
+                brute = brute_count_partitions(g, k)
+                for cap in (None, 1, 2, 5):
+                    counted, listed = Budget(max_nodes=10 ** 9), Budget(max_nodes=10 ** 9)
+                    leaves: list[tuple[int, ...]] = []
+                    got = _enumerate_partitions(g, k, cap, budget=counted)
+                    assert got == _enumerate_partitions(g, k, cap, leaves.append, listed)
+                    assert _spent(counted) == _spent(listed), (emit_graph6(g), k, cap)
+                    want = brute if cap is None else min(brute, cap)
+                    capped = n > 0 and cap is not None and brute >= cap  # order 0: one leaf, no search
+                    assert got == (want, capped), (emit_graph6(g), k, cap)
+                    assert len(leaves) == want
+                    for masks in leaves:  # in the graph's own labels
+                        classes = [[v for v in range(n) if m >> v & 1] for m in masks]
+                        assert is_proper(g, Colouring.from_classes(n, classes))
+                    rows += 1
+        assert rows == 80 * 6 * 4
+
+    def test_cap_inside_one_bulk_step(self):
+        g = Graph(3)  # five partitions; the last vertex closes 2 and then 3 of them at once
+        for cap in range(1, 7):
+            budget = Budget(max_nodes=10 ** 9)
+            assert _enumerate_partitions(g, 3, cap, budget=budget) == (min(5, cap), cap <= 5)
+            leaves: list[tuple[int, ...]] = []
+            listed = Budget(max_nodes=10 ** 9)
+            assert _enumerate_partitions(g, 3, cap, leaves.append, listed) == (min(5, cap), cap <= 5)
+            assert _spent(budget) == _spent(listed)
+
+    def test_first_leaf_is_the_dsatur_greedy_colouring(self):
+        rng = random.Random(4400)
+        checked = 0
+        for _ in range(200):
+            n = rng.randrange(1, 12)
+            g = random_graph(rng, n, rng.random())
+            greedy = _dsatur_greedy(g)
+            for k in range(greedy.k, greedy.k + 2):
+                assert find_colour_partition(g, k) == greedy, (emit_graph6(g), k)
+                checked += 1
+        assert checked == 400
+
+    def test_search_node_counts_are_pinned(self):
+        m5 = _mycielskian(_mycielskian(_mycielskian(complete_graph(2))))  # K2 -> C5 -> M4 -> M5
+        assert m5.n == 23
+        budget = Budget(max_nodes=10 ** 9)
+        assert chromatic_number(m5, budget) == 5 and _spent(budget) == 825
+        budget = Budget(max_nodes=10 ** 9)
+        assert count_colour_partitions(cycle_graph(10), 4, 2 ** 62, budget) == 2461
+        assert _spent(budget) == 4107
+        w9 = complete_join(cycle_graph(9), Graph(1))
+        budget = Budget(max_nodes=10 ** 9)
+        assert count_colour_partitions(w9, 5, 2 ** 62, budget) == 820
+        assert _spent(budget) == 1373
 
 
 class TestChromaticNumber:
