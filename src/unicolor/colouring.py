@@ -12,6 +12,15 @@ the vertices by descending degree once per call and keeps one bitmask of
 uncoloured vertices per saturation level, so the choice is the lowest bit of
 the highest nonempty level.  When only counting, the leaves below the last
 uncoloured vertex are added, and charged to the budget, in one step.
+
+An exact count (no ``on_leaf``, ``cap`` None or above 2) also memoises each
+subtree's (leaves, budget units) on its residual state up to class
+relabelling: the uncoloured set, the number of open classes and the sorted
+neighbourhoods of the open classes in that set.  Open classes differ only
+in those neighbourhoods, so the state fixes every saturation level, DSATUR
+choice and dead-branch test below it.  A stored subtree is reused only when
+it cannot reach ``cap``, so counts, caps and node budgets end exactly as
+without the memo; on cycles and wheels the count becomes polynomial.
 """
 
 from __future__ import annotations
@@ -141,6 +150,19 @@ def _enumerate_partitions(
     ``on_leaf`` are in the graph's own labels.  Without ``on_leaf``, the
     last uncoloured vertex's leaves, one per class it may join, are counted
     and charged to the budget together.
+
+    When counting with ``cap`` None or above 2, ``memo`` maps the residual
+    state (remaining, nopen, sorted open-class neighbourhoods within
+    remaining) to the leaves below a node and the budget units spent below
+    it.  That key is a canonical form of the subproblem under class
+    relabelling, so the subtree below it is the same up to the order of its
+    branches.  A hit adds the leaves and spends the units at once, but only
+    when count + leaves stays below ``cap``; otherwise the search descends
+    and stops at the same leaf and node as it would uncached.  With cap <= 2
+    no entry could ever be used, and subtrees without leaves are not stored,
+    so the memo holds one entry per distinct state with leaves below it and
+    lives for one call.  States with fewer than two uncoloured vertices are
+    not looked up: the bulk step is cheaper.
     """
     n = g.n
     if k < 0:
@@ -172,11 +194,16 @@ def _enumerate_partitions(
     class_masks = [0] * k  # each class, in vertex bits
     top = k - 1
     count = 0
+    spent = 0  # units charged to the budget, for the memo's node counts
+    memo: dict[tuple, tuple[int, int]] | None = (
+        {} if on_leaf is None and (cap is None or cap > 2) else None
+    )
 
     def rec(remaining: int, nopen: int) -> None:
-        nonlocal count
+        nonlocal count, spent
         if budget is not None:
             budget.spend()
+            spent += 1
         if not remaining:
             count += 1
             if on_leaf is not None:
@@ -196,10 +223,21 @@ def _enumerate_partitions(
                 leaves = min(leaves, cap - count)
             if budget is not None:
                 budget.spend(leaves)
+                spent += leaves
             count += leaves
             if count == cap:
                 raise _CapReached
             return
+        if memo is not None:  # two or more vertices remain, past the bulk step
+            key = (remaining, nopen, tuple(sorted([nbr[c] & remaining for c in range(nopen)])))
+            hit = memo.get(key)
+            if hit is not None and (cap is None or count + hit[0] < cap):
+                count += hit[0]
+                if budget is not None:
+                    budget.spend(hit[1])
+                    spent += hit[1]
+                return
+            count0, spent0 = count, spent
         by_sat[s] = level ^ vbit
         saved = by_sat[:]
         v = vbit.bit_length() - 1
@@ -229,6 +267,8 @@ def _enumerate_partitions(
             nbr[c] = old
             by_sat[:] = saved
         by_sat[s] = level
+        if memo is not None and count > count0:
+            memo[key] = (count - count0, spent - spent0)
 
     try:
         rec((1 << n) - 1, 0)
@@ -286,16 +326,26 @@ def chromatic_number(g: Graph, budget: Budget | None = None) -> int:
 
 
 def _sigma(g: Graph, chi: int, budget: Budget | None) -> int:
-    """Smallest class size over all partitions into ``chi`` = chi(g) classes."""
+    """Smallest class size over all partitions into ``chi`` = chi(g) classes.
+
+    The enumeration stops at the first partition with a one-vertex class,
+    since no class is smaller.
+    """
     best = g.n + 1
+
+    class Singleton(Exception):
+        pass
 
     def leaf(masks: tuple[int, ...]) -> None:
         nonlocal best
-        small = min(map(int.bit_count, masks))
-        if small < best:
-            best = small
+        best = min(best, *map(int.bit_count, masks))
+        if best == 1:
+            raise Singleton
 
-    _enumerate_partitions(g, chi, None, on_leaf=leaf, budget=budget)
+    try:
+        _enumerate_partitions(g, chi, None, on_leaf=leaf, budget=budget)
+    except Singleton:
+        pass
     return best
 
 

@@ -62,6 +62,21 @@ def brute_chromatic_number(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+def brute_sigma(g: Graph) -> int:
+    """Smallest class size over the partitions into chi(g) independent
+    classes, by restricted-growth strings; g must have a vertex."""
+    n = g.n
+    chi = brute_chromatic_number(g)
+    best = n
+    for labels in _restricted_growth(n):
+        if max(labels) + 1 != chi:
+            continue
+        if any(g.has_edge(u, v) for u in range(n) for v in range(u + 1, n) if labels[u] == labels[v]):
+            continue
+        best = min(best, *(labels.count(c) for c in range(chi)))
+    return best
+
+
 def brute_clique_number(g: Graph) -> int:
     best = 0
     for size in range(g.n, 0, -1):

@@ -1,10 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
-from conftest import brute_chromatic_number, brute_count_partitions, random_graph
+from conftest import brute_chromatic_number, brute_count_partitions, brute_sigma, random_graph
 from unicolor.budget import Budget, BudgetExceededError
 from unicolor.colouring import (
     Colouring,
@@ -129,6 +130,37 @@ def _dsatur_greedy(g: Graph) -> Colouring:
     return Colouring(colour)
 
 
+def _count_from_polynomial(poly, k: int) -> int:
+    """Partitions into at most k independent classes, from the chromatic
+    polynomial P(x) = sum_j a_j x(x-1)...(x-j+1), where a_j counts the
+    partitions into exactly j classes: a_j = sum_i (-1)^(j-i) C(j, i) P(i) / j!."""
+    return sum(
+        sum((-1) ** (j - i) * comb(j, i) * poly(i) for i in range(j + 1)) // factorial(j)
+        for j in range(1, k + 1)
+    )
+
+
+def _repeated_state_cases():
+    """Graphs whose searches reach the same residual state more than once."""
+    yield cycle_graph(12), 4
+    yield Graph(8), 4
+    rng = random.Random(4600)
+    for _ in range(20):
+        n = rng.randrange(6, 13)
+        g = random_graph(rng, n, rng.uniform(0.3, 0.6))
+        yield g, chromatic_number(g) + rng.randrange(2)
+
+
+def _listing(g: Graph, k: int) -> tuple[int, list[int], int]:
+    """The uncached search, listing every leaf: (count, units spent when
+    each leaf was reached, units spent in all).  A listing capped at c stops
+    right after its c-th leaf, so this gives its outcome for every cap."""
+    budget = Budget(max_nodes=10 ** 9)
+    marks: list[int] = []
+    count, _ = _enumerate_partitions(g, k, None, lambda _: marks.append(_spent(budget)), budget)
+    return count, marks, _spent(budget)
+
+
 class TestEnumerationKernel:
     def test_differential_against_brute_force(self):
         rng = random.Random(4300)
@@ -188,6 +220,45 @@ class TestEnumerationKernel:
         assert count_colour_partitions(w9, 5, 2 ** 62, budget) == 820
         assert _spent(budget) == 1373
 
+    def test_cycle_and_wheel_counts_from_chromatic_polynomials(self):
+        # equivalent residual states are counted once, so even C60 into five
+        # classes (about 1.6e34 partitions) is counted well inside the budget
+        budget = Budget(max_seconds=10)
+        for n in range(3, 61):
+            def cycle(x: int) -> int:
+                return (x - 1) ** n + (-1) ** n * (x - 1)
+
+            def wheel(x: int) -> int:
+                return x * cycle(x - 1)
+
+            graphs = ((cycle_graph(n), cycle), (complete_join(cycle_graph(n), Graph(1)), wheel))
+            for k in range(3, 6):
+                for g, poly in graphs:
+                    got = count_colour_partitions(g, k, 2 ** 200, budget)
+                    assert got == _count_from_polynomial(poly, k), (emit_graph6(g), k)
+
+    def test_cached_count_stops_like_the_listing_at_every_cap(self):
+        for g, k in _repeated_state_cases():
+            count, marks, full = _listing(g, k)
+            for cap in range(3, count + 2):
+                budget = Budget(max_nodes=10 ** 9)
+                got = _enumerate_partitions(g, k, cap, budget=budget)
+                assert got == (min(count, cap), cap <= count), (emit_graph6(g), k, cap)
+                assert _spent(budget) == (marks[cap - 1] if cap <= count else full)
+
+    def test_cached_count_exhausts_node_budgets_like_the_listing(self):
+        for g, k in _repeated_state_cases():
+            full = _listing(g, k)[2]
+            for max_nodes in range(max(0, full - 4), full + 4):
+                raised = []
+                for on_leaf in (None, lambda _: None):
+                    try:
+                        _enumerate_partitions(g, k, None, on_leaf, Budget(max_nodes=max_nodes))
+                        raised.append(False)
+                    except BudgetExceededError:
+                        raised.append(True)
+                assert raised == [max_nodes < full] * 2, (emit_graph6(g), k, max_nodes)
+
 
 class TestChromaticNumber:
     def test_against_brute(self):
@@ -219,6 +290,21 @@ class TestSigmaChiCr:
         star = Graph(4, [(0, 1), (0, 2), (0, 3)])
         assert sigma(star) == 1
         assert chi_cr(star) == Fraction(4, 3)
+
+    def test_against_brute_force(self):
+        rng = random.Random(4500)
+        for _ in range(160):
+            n = rng.randrange(1, 9)
+            g = random_graph(rng, n, rng.random())
+            want = brute_sigma(g)
+            assert sigma(g) == want, emit_graph6(g)
+            chi = brute_chromatic_number(g)
+            if chi >= 2:
+                assert chi_cr(g) == Fraction((chi - 1) * n, n - want), emit_graph6(g)
+
+    def test_stops_at_a_one_vertex_class(self):
+        # the first 3-partition of C21 has one, so 349,525 partitions go unlisted
+        assert sigma(cycle_graph(21), Budget(max_nodes=200)) == 1
 
     def test_undefined_cases(self):
         with pytest.raises(ColouringError):
