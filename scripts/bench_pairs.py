@@ -1,21 +1,23 @@
-"""Alternating parent/change pairs of one benchmark workload, summarised as JSON.
+"""Alternating parent/change pairs of benchmark workloads, summarised as JSON.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload partitions \
-        --pairs 10 --seed-base 2001 --out BENCH.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload census-tf10 \
+        --workload partitions --pairs 10 --seed-base 2001 --out BENCH.json
 
-PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Pair i runs
-each checkout's own ``perfbench/run.py --workload W --seed (seed-base + i)
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  ``--workload``
+may be given more than once.  Pair i runs, for each workload W in turn, each
+checkout's own ``perfbench/run.py --workload W --seed (seed-base + i)
 --seconds 25 --trace 0`` in that checkout, the parent first in even pairs and
 the change first in odd ones, so a drift in the host's speed falls on both
 sides alike.  Nothing under ``perfbench/`` is imported: each run is a separate
 process whose last stdout line is its result.
 
-The output file holds every run (seed, order, exit code, result), and for each
-end-to-end metric the median and quartiles of both sides, the pairs the change
-won (ties count for neither side), the parent's quartile spread, and
-``gain``: the change won at least nine tenths of the pairs and its median beats
-the parent's by more than that spread.  It also records the Python version,
-the CPU count and each checkout's git commit, where there is one.  Stdlib only.
+The output file holds, per workload, every run (seed, order, exit code,
+result), and for each end-to-end metric the median and quartiles of both
+sides, the pairs the change won (ties count for neither side), the parent's
+quartile spread, and ``gain``: the change won at least nine tenths of the
+pairs and its median beats the parent's by more than that spread.  It also
+records the Python version, the CPU count and each checkout's git commit,
+where there is one.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True, action="append",
+                    help="a workload to run; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--out", required=True, help="JSON file to write")
@@ -104,20 +107,30 @@ def main(argv: list[str] | None = None) -> int:
     for side, path in dirs.items():
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             ap.error(f"{side} checkout {path} has no perfbench/run.py")
-    runs: list[dict[str, dict]] = []
+    workloads = list(dict.fromkeys(args.workload))
+    runs: dict[str, list[dict[str, dict]]] = {w: [] for w in workloads}
     for i in range(args.pairs):
         seed = args.seed_base + i
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {}
-        for position, side in enumerate(order):
-            pair[side] = _run(dirs[side], args.workload, seed)
-            pair[side]["ran"] = "first" if position == 0 else "second"
-        runs.append(pair)
-        walls = ", ".join(f"{side} {pair[side]['metrics'].get('wall_s', float('nan')):.3f} s"
-                          for side in SIDES)
-        print(f"pair {i + 1}/{args.pairs} (seed {seed}): {walls}", file=sys.stderr)
+        for workload in workloads:
+            pair = {}
+            for position, side in enumerate(order):
+                pair[side] = _run(dirs[side], workload, seed)
+                pair[side]["ran"] = "first" if position == 0 else "second"
+            runs[workload].append(pair)
+            walls = ", ".join(f"{side} {pair[side]['metrics'].get('wall_s', float('nan')):.3f} s"
+                              for side in SIDES)
+            print(f"pair {i + 1}/{args.pairs} (seed {seed}) {workload}: {walls}", file=sys.stderr)
+    results = {
+        workload: {
+            "all_correct": all(pair[side]["correct"] for pair in pairs for side in SIDES),
+            "summary": summarise(pairs),
+            "runs": pairs,
+        }
+        for workload, pairs in runs.items()
+    }
     report = {
-        "workload": args.workload,
+        "workloads": workloads,
         "seconds": SECONDS,
         "pairs": args.pairs,
         "seeds": [args.seed_base + i for i in range(args.pairs)],
@@ -125,15 +138,15 @@ def main(argv: list[str] | None = None) -> int:
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "commits": {side: _commit(path) for side, path in dirs.items()},
-        "all_correct": all(pair[side]["correct"] for pair in runs for side in SIDES),
-        "summary": summarise(runs),
-        "runs": runs,
+        "all_correct": all(r["all_correct"] for r in results.values()),
+        "results": results,
     }
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({name: s["median"] | {"gain": s["gain"]}
-                      for name, s in report["summary"].items()}))
+    print(json.dumps({workload: {name: s["median"] | {"gain": s["gain"]}
+                                 for name, s in r["summary"].items()}
+                      for workload, r in results.items()}))
     return 0
 
 

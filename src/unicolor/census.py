@@ -4,19 +4,32 @@ Generation is by canonical augmentation: a graph of order r+1 is produced
 from exactly one parent class, namely the one obtained by deleting the
 vertex its canonical labelling places last.  An extension of a processed
 parent is kept iff deleting that canonically-last vertex recovers the
-parent; duplicate siblings within one parent are removed by canonical form.
-No global "seen" set is needed, so runs can be split at checkpoints or
-across workers and merged without coordination.
+parent.  No global "seen" set is needed, so runs can be split at
+checkpoints or across workers and merged without coordination.
 
-Most extensions are rejected before they are labelled (McKay, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998).  The canonically last
-vertex has maximum degree and lies in the top refined cell, so a new vertex
-of lower degree than some vertex of the child, read from the parent's
-degrees and the neighbourhood mask, is rejected at once, and one outside
-the top cell is rejected after refinement, whose colours the labelling then
-reuses.  No class is lost: a class whose canonically last vertex w leaves a
-graph isomorphic to the parent is also reached by the sibling mask that puts
-the new vertex in w's place, and that mask passes both tests.
+Only one neighbourhood mask per orbit of the parent's automorphism group is
+tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  Masks in one orbit give isomorphic children, which get the same
+verdict, so the first mask of each orbit in candidate order stands for the
+others, and they are skipped before their child is built.  The generators
+of a parent's group come from the labelling that accepted it as a child,
+whose tie search meets them anyway, and are carried down the tree in
+canonical labels; roots loaded from a checkpoint or handed to a worker get
+theirs from one labelling.  Pseudo-similar vertices can still give
+isomorphic siblings from different orbits, and these are removed by
+canonical form.  The ``duplicate_siblings`` stat counts both kinds: masks
+skipped as orbit mates and children dropped by canonical form.
+
+Most other extensions are rejected before they are labelled.  The
+canonically last vertex has maximum degree and lies in the top refined
+cell, so a new vertex of lower degree than some vertex of the child, read
+from the parent's degrees and the neighbourhood mask, is rejected at once,
+and one outside the top cell is rejected after refinement, whose colours
+the labelling then reuses.  No class is lost: a class whose canonically
+last vertex w leaves a graph isomorphic to the parent is also reached by
+the sibling mask that puts the new vertex in w's place, and that mask
+passes both tests; so does the first mask of its orbit, whose child is
+isomorphic to it with the new vertex fixed.
 
 Hereditary constraints (triangle-freeness, edge-count ceiling) prune during
 generation, together with sound lookahead bounds for the degree floor and
@@ -44,8 +57,6 @@ from .graphs import (
     Graph,
     _canonical,
     _canonical_if_last,
-    _connected_within,
-    canonical_form,
     independence_number,
     parse_graph6,
 )
@@ -200,14 +211,57 @@ def _candidate_masks(
     return out
 
 
+def _components(rows: Sequence[int]) -> list[int]:
+    """The vertex sets of the components of the graph with these rows."""
+    comps = []
+    rest = (1 << len(rows)) - 1
+    while rest:
+        seen = frontier = rest & -rest
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                b = m & -m
+                nxt |= rows[b.bit_length() - 1]
+                m ^= b
+            frontier = nxt & ~seen
+            seen |= frontier
+        comps.append(seen)
+        rest &= ~seen
+    return comps
+
+
+def _mask_maps(gens: list[list[int]]) -> list[tuple[list[int], list[int]]]:
+    """Per permutation of the parent's vertices, the images of every mask of its low 7 bits
+    and of every mask of its bits from 7 up: the image of a mask m is
+    ``low[m & 127] | high[m >> 7]``."""
+    maps = []
+    for p in gens:
+        images = [1 << x for x in p]
+        tables = []
+        for part in (images[:7], images[7:]):
+            table = [0]
+            for image in part:  # the masks with this bit follow those without
+                table += [t | image for t in table]
+            tables.append(table)
+        maps.append((tables[0], tables[1]))
+    return maps
+
+
 def _extend_parent(
-    task: CensusTask, parent: Graph, parent_canon: bytes, stats: dict[str, int]
-) -> list[tuple[Graph, bytes]]:
+    task: CensusTask,
+    parent: Graph,
+    parent_canon: bytes,
+    stats: dict[str, int],
+    gens: list[list[int]],
+) -> list[tuple[Graph, bytes, list[list[int]]]]:
     """All accepted child classes of one parent, as canonical representatives.
 
-    Children have order r+1; when r+1 == task.n the full-order structural
-    filters (connectivity, exact degree floor, edge window) apply, otherwise
-    hereditary constraints plus sound lookahead bounds.
+    ``gens`` generate the parent's automorphism group.  Children have order
+    r+1; when r+1 == task.n the full-order structural filters (connectivity,
+    exact degree floor, edge window) apply, otherwise hereditary constraints
+    plus sound lookahead bounds.  Each child below full order comes with
+    generators of its own group, in its canonical labels.
     """
     n = task.n
     dmin = task.min_degree
@@ -235,9 +289,11 @@ def _extend_parent(
     free = ((1 << r) - 1) & ~req
     masks = _candidate_masks(rows, req, free, lo_sz, hi_sz, task.triangle_free)
     _bump(stats, "extensions_tried", len(masks))
-    accepted: list[tuple[Graph, bytes]] = []
+    accepted: list[tuple[Graph, bytes, list[list[int]]]] = []
     seen_here: set[bytes] = set()
-    full_mask = (1 << n) - 1
+    comps = _components(rows) if r1 == n and task.connected else None
+    maps = None  # the generators' mask tables, built when first needed
+    tried: set[int] = set()  # masks in the orbit of a mask already tried
     degrees = parent.degrees()
     parent_degrees = sorted(degrees)
     top = parent_degrees[-1]
@@ -248,11 +304,29 @@ def _extend_parent(
         if d < top or (d == top and mask & top_set):
             _bump(stats, "rejected_not_canonical")
             continue
-        child = parent.with_vertex(mask)
-        if r1 == n and task.connected and not _connected_within(child.adj, full_mask):
+        if comps is not None and not all(mask & c for c in comps):
             _bump(stats, "full_rejected_connected")
             continue
-        labelled = _canonical_if_last(r1, child.adj, r)
+        if gens:
+            # masks in one orbit of the parent's group give isomorphic
+            # children: try the first and skip the rest
+            if mask in tried:
+                _bump(stats, "duplicate_siblings")
+                continue
+            if maps is None:
+                maps = _mask_maps(gens)
+            orbit = [mask]
+            tried.add(mask)
+            for m in orbit:
+                low, high = m & 127, m >> 7
+                for lo_map, hi_map in maps:
+                    x = lo_map[low] | hi_map[high]
+                    if x not in tried:
+                        tried.add(x)
+                        orbit.append(x)
+        child = parent.with_vertex(mask)
+        autos: list[list[int]] | None = [] if r1 < n else None
+        labelled = _canonical_if_last(r1, child.adj, r, autos)
         if labelled is None:
             _bump(stats, "rejected_not_canonical")
             continue
@@ -272,7 +346,13 @@ def _extend_parent(
                 _bump(stats, "rejected_not_canonical")
                 continue
         _bump(stats, f"classes_order_{r1}")
-        accepted.append((child.permuted(placement), canon))
+        child_gens = []
+        if autos:
+            label = [0] * r1
+            for i, v in enumerate(placement):
+                label[v] = i
+            child_gens = [[label[p[v]] for v in placement] for p in autos]
+        accepted.append((child.permuted(placement), canon, child_gens))
     return accepted
 
 
@@ -280,22 +360,23 @@ def _expand(
     task: CensusTask,
     parent: Graph,
     parent_canon: bytes,
+    gens: list[list[int]],
     visit: Callable[[Graph, bytes], None],
     stats: dict[str, int],
-    out: list[tuple[Graph, bytes]],
+    out: list[tuple[Graph, bytes, list[list[int]]]],
 ) -> None:
     """Hand the full-order children of one parent to ``visit`` and append
-    the others to ``out``."""
-    for child, canon in _extend_parent(task, parent, parent_canon, stats):
+    the others, with their generators, to ``out``."""
+    for child, canon, child_gens in _extend_parent(task, parent, parent_canon, stats, gens):
         if child.n == task.n:
             visit(child, canon)
         else:
-            out.append((child, canon))
+            out.append((child, canon, child_gens))
 
 
 def _census_loop(
     task: CensusTask,
-    stack: list[tuple[Graph, bytes]],
+    stack: list[tuple[Graph, bytes, list[list[int]]]],
     visit: Callable[[Graph, bytes], None],
     stats: dict[str, int],
     budget: Budget | None,
@@ -304,21 +385,21 @@ def _census_loop(
     graph6 strings if the budget runs out, or None on completion.  ``visit``
     receives each accepted full-order class once, canonically labelled."""
     while stack:
-        parent, parent_canon = stack.pop()
+        parent, parent_canon, gens = stack.pop()
         if budget is not None:
             try:
                 budget.spend(1)
                 budget.check_time()
             except BudgetExceededError:
-                stack.append((parent, parent_canon))
-                return [canon.decode("ascii") for _, canon in stack]
-        _expand(task, parent, parent_canon, visit, stats, stack)
+                stack.append((parent, parent_canon, gens))
+                return [canon.decode("ascii") for _, canon, _ in stack]
+        _expand(task, parent, parent_canon, gens, visit, stats, stack)
     return None
 
 
 def _expand_frontier(
     eff: CensusTask,
-    level: list[tuple[Graph, bytes]],
+    level: list[tuple[Graph, bytes, list[list[int]]]],
     want: int,
     visit: Callable[[Graph, bytes], None],
     stats: dict[str, int],
@@ -327,11 +408,11 @@ def _expand_frontier(
     ``want`` subtree roots exist (or the levels run out).  Full-order classes
     reached during expansion are handed to ``visit`` directly."""
     while level and len(level) < want and level[0][0].n < eff.n - 1:
-        nxt: list[tuple[Graph, bytes]] = []
-        for parent, canon in level:
-            _expand(eff, parent, canon, visit, stats, nxt)
+        nxt: list[tuple[Graph, bytes, list[list[int]]]] = []
+        for parent, canon, gens in level:
+            _expand(eff, parent, canon, gens, visit, stats, nxt)
         level = nxt
-    return [canon.decode("ascii") for _, canon in level]
+    return [canon.decode("ascii") for _, canon, _ in level]
 
 
 def _make_token(task: CensusTask, pending: list[str], stats: dict, mode: str,
@@ -368,20 +449,33 @@ def _check_token(token: dict, task: CensusTask | None = None, mode: str | None =
         raise ValueError("checkpoint was produced by a different task")
 
 
-def _canonical_graph(s, lo: int, hi: int, what: str) -> Graph:
+def _canonical_graph(
+    s, lo: int, hi: int, what: str, autos: list[list[int]] | None = None
+) -> Graph:
     """The graph of ``s``, which must be the canonical graph6 string of a
-    graph of order lo..hi; ``what`` names the entry in the error."""
+    graph of order lo..hi; ``what`` names the entry in the error.  ``autos``
+    collects generators of its automorphism group, as _canonical does."""
     g = parse_graph6(s) if isinstance(s, str) else None
-    if g is None or not lo <= g.n <= hi or canonical_form(g) != s.encode("ascii"):
+    if (
+        g is None
+        or not lo <= g.n <= hi
+        or _canonical(g.n, g.adj, None, autos)[0] != s.encode("ascii")
+    ):
         orders = str(lo) if lo == hi else f"{lo}..{hi}"
         raise ValueError(f"{what} {s!r} is not a canonical graph6 of order {orders}")
     return g
 
 
-def _load_stack(pending: list, n: int) -> list[tuple[Graph, bytes]]:
-    """The search stack of a token's pending roots.  Each must be the
-    canonical graph6 string of a graph of order 1..n-1."""
-    return [(_canonical_graph(s, 1, n - 1, "pending entry"), s.encode("ascii")) for s in pending]
+def _load_stack(pending: list, n: int) -> list[tuple[Graph, bytes, list[list[int]]]]:
+    """The search stack of a token's pending roots, each with generators of
+    its automorphism group.  Each must be the canonical graph6 string of a
+    graph of order 1..n-1."""
+    stack = []
+    for s in pending:
+        gens: list[list[int]] = []
+        g = _canonical_graph(s, 1, n - 1, "pending entry", gens)
+        stack.append((g, s.encode("ascii"), gens))
+    return stack
 
 
 def _drive(
@@ -421,7 +515,7 @@ def _drive(
             inner(Graph(1), b"@")
         return result
     else:
-        stack = [(Graph(1), b"@")]
+        stack = [(Graph(1), b"@", [])]
     pending = None
     if threads > 1:
         roots = sorted(_expand_frontier(eff, stack, threads * 4, inner, stats))

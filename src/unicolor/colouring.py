@@ -20,7 +20,8 @@ neighbourhoods of the open classes in that set.  Open classes differ only
 in those neighbourhoods, so the state fixes every saturation level, DSATUR
 choice and dead-branch test below it.  A stored subtree is reused only when
 it cannot reach ``cap``, so counts, caps and node budgets end exactly as
-without the memo; on cycles and wheels the count becomes polynomial.
+without the memo; on cycles and wheels the count becomes polynomial.  The
+memo stops storing at ``_MEMO_MAX`` entries, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -129,6 +130,10 @@ class _CapReached(Exception):
     pass
 
 
+# entries one count memo stores at most; past it, lookups go on but nothing new is stored
+_MEMO_MAX = 1 << 16
+
+
 def _enumerate_partitions(
     g: Graph,
     k: int,
@@ -160,8 +165,9 @@ def _enumerate_partitions(
     when count + leaves stays below ``cap``; otherwise the search descends
     and stops at the same leaf and node as it would uncached.  With cap <= 2
     no entry could ever be used, and subtrees without leaves are not stored,
-    so the memo holds one entry per distinct state with leaves below it and
-    lives for one call.  States with fewer than two uncoloured vertices are
+    so the memo holds one entry per distinct state with leaves below it, up
+    to ``_MEMO_MAX`` entries, and lives for one call.  A full memo only stops
+    storing, so every outcome stays exact.  States with fewer than two uncoloured vertices are
     not looked up: the bulk step is cheaper.
     """
     n = g.n
@@ -267,7 +273,7 @@ def _enumerate_partitions(
             nbr[c] = old
             by_sat[:] = saved
         by_sat[s] = level
-        if memo is not None and count > count0:
+        if memo is not None and count > count0 and len(memo) < _MEMO_MAX:
             memo[key] = (count - count0, spent - spent0)
 
     try:

@@ -253,6 +253,7 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error("trailing garbage after graph6 data")
     rows = [0] * n
     bit = 0
+    i, col = 0, 1  # the pair of the next bit, in column-major upper triangle
     for code in codes[pos:]:
         for shift in (5, 4, 3, 2, 1, 0):
             if bit >= nbits:
@@ -260,19 +261,14 @@ def parse_graph6(text: str) -> Graph:
                     raise Graph6Error("nonzero padding bits in graph6 data")
                 continue
             if (code >> shift) & 1:
-                # bit index -> (i, col) in column-major upper triangle
-                col = _g6_column[bit]
-                i = bit - col * (col - 1) // 2
                 rows[i] |= 1 << col
                 rows[col] |= 1 << i
             bit += 1
+            i += 1
+            if i == col:
+                i = 0
+                col += 1
     return Graph.from_rows(rows)
-
-
-# bit index -> column lookup for the supported order range
-_g6_column = []
-for _c in range(1, MAX_ORDER):
-    _g6_column.extend([_c] * _c)
 
 
 # -- connectivity ----------------------------------------------------------
@@ -545,7 +541,10 @@ def _refine_colours(n: int, rows: Sequence[int]) -> list[int]:
 
 
 def _canonical_placement(
-    n: int, rows: Sequence[int], cols: Sequence[int] | None = None
+    n: int,
+    rows: Sequence[int],
+    cols: Sequence[int] | None = None,
+    autos: list[list[int]] | None = None,
 ) -> list[int]:
     """Vertex placement maximising the adjacency bitstring among labellings
     that list refinement cells in ascending colour order.
@@ -555,6 +554,14 @@ def _canonical_placement(
     pruning most of the n! permutations.  Twin vertices (identical rows) are
     interchangeable and only explored once per search node.  ``cols`` are
     the graph's refined colours when the caller has them already.
+
+    When ``autos`` is a list, automorphisms the search meets are appended to
+    it as permutation lists (vertex x maps to p[x]): for each leaf equal to
+    the best so far, best_place[i] -> place[i]; for each skipped twin, its
+    transposition with the earlier twin of the same row.  Every best leaf
+    outside a skipped subtree is such a leaf, and a skipped subtree is the
+    image of an explored one under its transposition, so together they
+    generate the whole automorphism group.
     """
     if n == 0:
         return []
@@ -588,13 +595,18 @@ def _canonical_placement(
                 best = cur.copy()
                 best_place = place.copy()
                 gen += 1
+            elif autos is not None:
+                perm = [0] * n
+                for x, y in zip(best_place, place):
+                    perm[x] = y
+                autos.append(perm)
             return
         cell = pos_cells[pos]
         cands = [v for v in cell if not (used >> v) & 1]
         if len(cands) > 1:
             cands.sort(key=lambda v: (-w[v], v))
-        seen_f: set[int] | None = None
-        seen_t: set[int] | None = None
+        seen_f: dict[int, int] | None = None  # row -> the twin explored with it
+        seen_t: dict[int, int] | None = None  # closed row -> likewise
         for v in cands:
             wv = w[v]
             if not strictly_greater and best is not None:
@@ -606,8 +618,14 @@ def _canonical_placement(
                 child_greater = strictly_greater
             kf = rows[v]
             kt = kf | (1 << v)
-            if seen_f is not None and (kf in seen_f or kt in seen_t):
-                continue
+            if seen_f is not None:
+                u = seen_f.get(kf, seen_t.get(kt))
+                if u is not None:
+                    if autos is not None:
+                        perm = list(range(n))
+                        perm[u], perm[v] = v, u
+                        autos.append(perm)
+                    continue
             g0 = gen
             place.append(v)
             cur.append(wv)
@@ -625,10 +643,10 @@ def _canonical_placement(
                 # a descendant replaced best; our prefix now equals its prefix
                 strictly_greater = False
             if seen_f is None:
-                seen_f = set()
-                seen_t = set()
-            seen_f.add(kf)
-            seen_t.add(kt)
+                seen_f = {}
+                seen_t = {}
+            seen_f[kf] = v
+            seen_t[kt] = v
 
     rec(0, False)
     assert best_place is not None
@@ -636,10 +654,15 @@ def _canonical_placement(
 
 
 def _canonical(
-    n: int, rows: Sequence[int], cols: Sequence[int] | None = None
+    n: int,
+    rows: Sequence[int],
+    cols: Sequence[int] | None = None,
+    autos: list[list[int]] | None = None,
 ) -> tuple[bytes, list[int]]:
-    """Canonical graph6 bytes plus the placement that produced them."""
-    placement = _canonical_placement(n, rows, cols)
+    """Canonical graph6 bytes plus the placement that produced them;
+    ``autos`` collects generators of the automorphism group, as in
+    _canonical_placement."""
+    placement = _canonical_placement(n, rows, cols, autos)
     words = []
     for j in range(n):
         rv = rows[placement[j]]
@@ -650,19 +673,22 @@ def _canonical(
     return _pack_graph6(n, words).encode("ascii"), placement
 
 
-def _canonical_if_last(n: int, rows: Sequence[int], v: int) -> tuple[bytes, list[int]] | None:
+def _canonical_if_last(
+    n: int, rows: Sequence[int], v: int, autos: list[list[int]] | None = None
+) -> tuple[bytes, list[int]] | None:
     """_canonical(n, rows), or None when v cannot be the vertex it places last.
 
     The placement lists cells in ascending colour order, and colours rank by
     degree first, so its last vertex has maximum degree and lies in the top
     refined cell.  A vertex outside that cell is rejected without labelling;
-    otherwise the labelling reuses the colours.  Callers that can read
-    degrees more cheaply than the rows may reject by degree first.
+    otherwise the labelling reuses the colours, and fills ``autos`` as
+    _canonical does.  Callers that can read degrees more cheaply than the
+    rows may reject by degree first.
     """
     cols = _refine_colours(n, rows)
     if cols[v] != max(cols):
         return None
-    return _canonical(n, rows, cols)
+    return _canonical(n, rows, cols, autos)
 
 
 def canonical_form(g: Graph) -> bytes:

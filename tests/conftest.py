@@ -135,3 +135,25 @@ def brute_automorphism_count(g: Graph) -> int:
                for u in range(n) for v in range(u + 1, n)):
             count += 1
     return count
+
+
+def group_order(gens: list[list[int]], n: int) -> int:
+    """Order of the permutation group on 0..n-1 that ``gens`` generate, by
+    listing every element."""
+    identity = tuple(range(n))
+    seen = {identity}
+    todo = [identity]
+    for p in todo:
+        for g in gens:
+            q = tuple(g[x] for x in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
+def is_automorphism(g: Graph, perm: list[int]) -> bool:
+    n = g.n
+    return sorted(perm) == list(range(n)) and all(
+        g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
+        for u in range(n) for v in range(u + 1, n))

@@ -338,3 +338,11 @@ def test_criterion_11_critical_chromatic_bounds(witness_census_n12):
         assert equal > 5 and strict > 5
         info["detail"] = (f"{len(corpus)} graphs; bounds exact; "
                           f"equality<->balanced on {equal + strict} decidable cases")
+
+
+def test_order12_witness_list_is_the_figure1_graphs(witness_census_n12):
+    # the restricted order-12 census finds exactly the three figure-1 graphs
+    result = witness_census_n12[0]
+    forms = [canonical_form(cg.graph).decode("ascii") for cg in figure1_graphs().values()]
+    want = sorted((parse_graph6(s).edge_count(), s) for s in forms)
+    assert [(w.edges, w.graph6) for w in result.witnesses] == want

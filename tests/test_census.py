@@ -1,4 +1,6 @@
+import hashlib
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -6,15 +8,19 @@ from conftest import (
     brute_automorphism_count,
     brute_chromatic_number,
     brute_count_partitions,
+    group_order,
+    is_automorphism,
 )
 from unicolor.census import (
     CensusTask,
+    _extend_parent,
     checkpoint_dumps,
     checkpoint_loads,
     find_unique_k_witnesses,
     generate,
     resume,
 )
+from unicolor.cli import main
 from unicolor.graphs import (
     Graph,
     canonical_form,
@@ -333,3 +339,82 @@ class TestRejectBeforeLabelling:
         res = generate(CensusTask(n=7))
         assert res.stats["visited"] == 1044
         assert calls < res.stats["extensions_tried"] / 2
+
+
+def _visit_sha1(visits: list[Graph]) -> str:
+    return hashlib.sha1("".join(emit_graph6(g) + "\n" for g in visits).encode("ascii")).hexdigest()
+
+
+class TestGoldenCensus:
+    # visit sequences pinned before orbit pruning of sibling masks; any
+    # change to the search that moves a class, or its order, shows here
+    @pytest.mark.parametrize("kw, classes, sha1", [
+        (dict(n=7), 1044, "4b4ff4408585f0abf8758d921b299b61f9f54b81"),
+        (dict(n=8), 12346, "8d858e4fe5148a1df42dd8df10be93385e5c0262"),
+        (dict(n=9, triangle_free=True), 1897, "bc007e3bb489ed338287efdb167253e7792fc2db"),
+        (dict(n=7, connected=True), 853, "3d67426b409cc2760342de63763637ef34cbd434"),
+        (dict(n=8, min_degree=2), 7459, "38ea7d89b8a2a1f7b91b9d85f33a50d4f6b4e3c9"),
+        (dict(n=8, edge_window=(10, 14)), 6158, "961c05609ea93365ac77cd4ba73253914ebd54f0"),
+    ])
+    def test_visit_sequence(self, kw, classes, sha1):
+        visits: list[Graph] = []
+        generate(CensusTask(**kw), visit=visits.append)
+        assert len(visits) == classes
+        assert _visit_sha1(visits) == sha1
+
+    def test_cli_witness_list(self, capsys):
+        assert main(["census", "--n", "8", "--k", "3"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha1(out.encode("utf-8")).hexdigest() == \
+            "bf07b09281ca04acc64071a5ecec8ae24bb7b8c2"
+
+
+class TestOrbitPruning:
+    def _tree(self, task: CensusTask):
+        """Every (child, generators) pair the census accepts below full order."""
+        stats: dict[str, int] = {}
+        stack = [(Graph(1), b"@", [])]
+        while stack:
+            parent, canon, gens = stack.pop()
+            for child, child_canon, child_gens in _extend_parent(task, parent, canon, stats, gens):
+                assert emit_graph6(child).encode("ascii") == child_canon
+                if child.n < task.n:
+                    yield child, child_gens
+                    stack.append((child, child_canon, child_gens))
+                else:
+                    assert child_gens == []
+
+    def test_children_carry_their_whole_group(self):
+        checked = 0
+        for task in (CensusTask(n=7), CensusTask(n=8, triangle_free=True)):
+            for child, gens in self._tree(task):
+                assert all(is_automorphism(child, p) for p in gens), emit_graph6(child)
+                assert group_order(gens, child.n) == brute_automorphism_count(child)
+                checked += 1
+        assert checked == (2 + 4 + 11 + 34 + 156) + (2 + 3 + 7 + 14 + 38 + 107)
+
+    def test_pruned_masks_count_as_duplicate_siblings(self):
+        stats = generate(CensusTask(n=7)).stats
+        assert stats["duplicate_siblings"] == 1492
+        assert stats["rejected_not_canonical"] == 8547
+        assert stats["extensions_tried"] == 11290
+
+    def test_checkpoint_chain_repeats_the_sequential_run(self):
+        task = CensusTask(n=7, min_degree=1)
+        full: list[Graph] = []
+        direct = generate(task, visit=full.append)
+        for budget in (3, 40):
+            parts: list[Graph] = []
+            res = generate(replace(task, budget_nodes=budget), visit=parts.append)
+            while not res.complete:
+                res = resume(checkpoint_loads(checkpoint_dumps(res.checkpoint)),
+                             visit=parts.append)
+            assert parts == full
+            assert res.stats == direct.stats
+
+    def test_forked_workers_repeat_the_sequential_stats(self):
+        task = CensusTask(n=7, k=3)
+        seq = find_unique_k_witnesses(task)
+        par = find_unique_k_witnesses(task, threads=2)
+        assert par.witnesses == seq.witnesses
+        assert par.stats == seq.stats

@@ -1,5 +1,6 @@
 import json
 import random
+from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, factorial
 
@@ -259,6 +260,25 @@ class TestEnumerationKernel:
                     except BudgetExceededError:
                         raised.append(True)
                 assert raised == [max_nodes < full] * 2, (emit_graph6(g), k, max_nodes)
+
+    def test_full_memo_changes_no_outcome(self, monkeypatch):
+        # a memo that stops storing after 4 entries still ends every capped
+        # count and every node budget where the listing does; the caps are
+        # thinned out, since a count that stores almost nothing is slow
+        import unicolor.colouring as colouring_module
+
+        monkeypatch.setattr(colouring_module, "_MEMO_MAX", 4)
+        for g, k in _repeated_state_cases():
+            count, marks, full = _listing(g, k)
+            caps = set(range(3, min(count, 40) + 2)) | set(range(3, count + 2, 1 + count // 40))
+            for cap in sorted(caps | {count, count + 1}):
+                budget = Budget(max_nodes=10 ** 9)
+                got = _enumerate_partitions(g, k, cap, budget=budget)
+                assert got == (min(count, cap), cap <= count), (emit_graph6(g), k, cap)
+                assert _spent(budget) == (marks[cap - 1] if cap <= count else full)
+            for max_nodes in range(max(0, full - 4), full + 4):
+                with pytest.raises(BudgetExceededError) if max_nodes < full else nullcontext():
+                    _enumerate_partitions(g, k, None, budget=Budget(max_nodes=max_nodes))
 
 
 class TestChromaticNumber:

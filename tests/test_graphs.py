@@ -8,6 +8,8 @@ from conftest import (
     brute_clique_number,
     brute_is_isomorphic,
     brute_vertex_connectivity_at_least,
+    group_order,
+    is_automorphism,
     random_graph,
 )
 from unicolor.budget import Budget, BudgetExceededError
@@ -362,6 +364,50 @@ class TestCanonicalForm:
         generate(CensusTask(n=5), visit=reps.append)
         total = sum(math.factorial(5) // brute_automorphism_count(g) for g in reps)
         assert total == 2 ** 10
+
+
+def _with_twins(rng: random.Random, g: Graph, n: int) -> Graph:
+    """g grown to order n by copies of random vertices, each copy adjacent
+    to its original or not, so the group has twin transpositions."""
+    while g.n < n:
+        v = rng.randrange(g.n)
+        mask = g.adj[v] | (1 << v) if rng.random() < 0.5 else g.adj[v]
+        g = g.with_vertex(mask)
+    return g
+
+
+class TestAutomorphismGenerators:
+    def test_collected_permutations_generate_the_group(self):
+        rng = random.Random(7012)
+        nontrivial = 0
+        for _ in range(320):
+            n = rng.randrange(0, 8)
+            g = random_graph(rng, n, rng.random())
+            if n > 1 and rng.random() < 0.5:
+                g = _with_twins(rng, random_graph(rng, rng.randrange(1, n), rng.random()), n)
+            autos: list[list[int]] = []
+            assert _canonical(n, g.adj, autos=autos) == _canonical(n, g.adj)
+            assert all(is_automorphism(g, p) for p in autos), emit_graph6(g)
+            order = brute_automorphism_count(g)
+            assert group_order(autos, n) == order, emit_graph6(g)
+            nontrivial += order > 1
+        assert nontrivial > 100
+
+    def test_symmetric_graphs(self):
+        k33 = complete_join(Graph(3), Graph(3))
+        for g in (Graph(7), complete_graph(7), cycle_graph(7), cycle_graph(6), k33,
+                  path_graph(6), k33.complement()):
+            autos: list[list[int]] = []
+            _canonical(g.n, g.adj, autos=autos)
+            assert all(is_automorphism(g, p) for p in autos)
+            assert group_order(autos, g.n) == brute_automorphism_count(g), emit_graph6(g)
+
+    def test_only_collected_when_asked(self):
+        g = cycle_graph(6)
+        cols = _refine_colours(6, g.adj)
+        autos: list[list[int]] = []
+        assert _canonical_if_last(6, g.adj, 5, autos) == _canonical(6, g.adj, cols)
+        assert group_order(autos, 6) == 12
 
 
 class TestDot:
