@@ -167,8 +167,8 @@ def _enumerate_partitions(
     no entry could ever be used, and subtrees without leaves are not stored,
     so the memo holds one entry per distinct state with leaves below it, up
     to ``_MEMO_MAX`` entries, and lives for one call.  A full memo only stops
-    storing, so every outcome stays exact.  States with fewer than two uncoloured vertices are
-    not looked up: the bulk step is cheaper.
+    storing, so every outcome stays exact.  States with fewer than two
+    uncoloured vertices are not looked up: the bulk step is cheaper.
     """
     n = g.n
     if k < 0:
