@@ -23,13 +23,15 @@ skipped as orbit mates and children dropped by canonical form.
 Most other extensions are rejected before they are labelled.  The
 canonically last vertex has maximum degree and lies in the top refined
 cell, so a new vertex of lower degree than some vertex of the child, read
-from the parent's degrees and the neighbourhood mask, is rejected at once,
-and one outside the top cell is rejected after refinement, whose colours
-the labelling then reuses.  No class is lost: a class whose canonically
-last vertex w leaves a graph isomorphic to the parent is also reached by
-the sibling mask that puts the new vertex in w's place, and that mask
-passes both tests; so does the first mask of its orbit, whose child is
-isomorphic to it with the new vertex fixed.
+from the parent's degrees and the neighbourhood mask, is rejected at once:
+masks smaller than the parent's top degree are never built.  A new vertex
+outside the top cell is rejected by a refinement that stops in the first
+round in which it leaves that cell; a full refinement's colours are reused
+by the labelling.  No class is lost: a class whose canonically last vertex
+w leaves a graph isomorphic to the parent is also reached by the sibling
+mask that puts the new vertex in w's place, and that mask passes both
+tests; so does the first mask of its orbit, whose child is isomorphic to it
+with the new vertex fixed.
 
 Hereditary constraints (triangle-freeness, edge-count ceiling) prune during
 generation, together with sound lookahead bounds for the degree floor and
@@ -37,11 +39,17 @@ the edge-window lower bound: a partial graph is dropped only when no
 sequence of vertex additions can repair it.  Connectivity and the exact
 degree floor / edge window apply at full order.
 
-The witness search runs one battery per full-order class, cheapest check
-first: the Xu edge bound, then the colouring decision (one partition
-enumeration capped at two; the chromatic number is never computed), then the
-balanced test.  Only witnesses get a report, and so the (k-1)-connectivity
-test, which a uniquely k-colourable graph always passes.
+The witness search prunes with necessary conditions for unique
+k-colourability: minimum degree k-1 and connectivity, as above; Xu's bound
+(S. Xu, J. Combin. Theory Ser. B 50, 1990), at least (k-1)n - k(k-1)/2
+edges, as the floor of the edge window, so that the lookahead prunes with it
+too; and k-colourability, which is hereditary, so a class below full order
+that is not k-colourable, tested by one partition enumeration capped at
+one, is not expanded.  It then runs one battery per full-order class,
+cheapest check first: the colouring decision (one partition enumeration
+capped at two; the chromatic number is never computed), then the balanced
+test.  Only witnesses get a report, and so the (k-1)-connectivity test,
+which a uniquely k-colourable graph always passes.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from .budget import Budget, BudgetExceededError
-from .colouring import VerificationReport, _decide, _report, xu_bound_holds
+from .colouring import VerificationReport, _decide, _report, count_colour_partitions
 from .graphs import (
     Graph,
     _canonical,
@@ -282,7 +290,12 @@ def _extend_parent(
         alpha_next = independence_number(parent) + 1
     else:
         alpha_next = n
-    lo_sz = max(floor_child, lo - e - _max_addable(r1, n, alpha_next))
+    degrees = parent.degrees()
+    parent_degrees = sorted(degrees)
+    top = parent_degrees[-1]
+    top_set = sum(1 << v for v, d in enumerate(degrees) if d == top)
+    # the new vertex must end with maximum degree to be canonically last
+    lo_sz = max(floor_child, top, lo - e - _max_addable(r1, n, alpha_next))
     hi_sz = hi - e
     if hi_sz < 0:
         return []
@@ -294,14 +307,9 @@ def _extend_parent(
     comps = _components(rows) if r1 == n and task.connected else None
     maps = None  # the generators' mask tables, built when first needed
     tried: set[int] = set()  # masks in the orbit of a mask already tried
-    degrees = parent.degrees()
-    parent_degrees = sorted(degrees)
-    top = parent_degrees[-1]
-    top_set = sum(1 << v for v, d in enumerate(degrees) if d == top)
     for mask in masks:
-        # the new vertex must end with maximum degree to be canonically last
-        d = mask.bit_count()
-        if d < top or (d == top and mask & top_set):
+        # a neighbour of top degree would end above the new vertex
+        if mask.bit_count() == top and mask & top_set:
             _bump(stats, "rejected_not_canonical")
             continue
         if comps is not None and not all(mask & c for c in comps):
@@ -362,15 +370,16 @@ def _expand(
     parent_canon: bytes,
     gens: list[list[int]],
     visit: Callable[[Graph, bytes], None],
+    keep: Callable[[Graph], bool] | None,
     stats: dict[str, int],
     out: list[tuple[Graph, bytes, list[list[int]]]],
 ) -> None:
     """Hand the full-order children of one parent to ``visit`` and append
-    the others, with their generators, to ``out``."""
+    the others that ``keep`` accepts, with their generators, to ``out``."""
     for child, canon, child_gens in _extend_parent(task, parent, parent_canon, stats, gens):
         if child.n == task.n:
             visit(child, canon)
-        else:
+        elif keep is None or keep(child):
             out.append((child, canon, child_gens))
 
 
@@ -378,12 +387,14 @@ def _census_loop(
     task: CensusTask,
     stack: list[tuple[Graph, bytes, list[list[int]]]],
     visit: Callable[[Graph, bytes], None],
+    keep: Callable[[Graph], bool] | None,
     stats: dict[str, int],
     budget: Budget | None,
 ) -> list[str] | None:
     """Depth-first drive of _extend_parent.  Returns the pending stack as
     graph6 strings if the budget runs out, or None on completion.  ``visit``
-    receives each accepted full-order class once, canonically labelled."""
+    receives each accepted full-order class once, canonically labelled;
+    a smaller class is expanded only if ``keep`` (when given) accepts it."""
     while stack:
         parent, parent_canon, gens = stack.pop()
         if budget is not None:
@@ -393,7 +404,7 @@ def _census_loop(
             except BudgetExceededError:
                 stack.append((parent, parent_canon, gens))
                 return [canon.decode("ascii") for _, canon, _ in stack]
-        _expand(task, parent, parent_canon, gens, visit, stats, stack)
+        _expand(task, parent, parent_canon, gens, visit, keep, stats, stack)
     return None
 
 
@@ -402,15 +413,17 @@ def _expand_frontier(
     level: list[tuple[Graph, bytes, list[list[int]]]],
     want: int,
     visit: Callable[[Graph, bytes], None],
+    keep: Callable[[Graph], bool] | None,
     stats: dict[str, int],
 ) -> list[str]:
     """Grow the augmentation tree breadth-first from ``level`` until at least
     ``want`` subtree roots exist (or the levels run out).  Full-order classes
-    reached during expansion are handed to ``visit`` directly."""
+    reached during expansion are handed to ``visit`` directly, and smaller
+    ones are kept as in _census_loop."""
     while level and len(level) < want and level[0][0].n < eff.n - 1:
         nxt: list[tuple[Graph, bytes, list[list[int]]]] = []
         for parent, canon, gens in level:
-            _expand(eff, parent, canon, gens, visit, stats, nxt)
+            _expand(eff, parent, canon, gens, visit, keep, stats, nxt)
         level = nxt
     return [canon.decode("ascii") for _, canon, _ in level]
 
@@ -485,11 +498,16 @@ def _drive(
     visit: Callable[[Graph, bytes, CensusResult], None],
     checkpoint: dict | None = None,
     threads: int = 1,
+    keep: Callable[[Graph], bool] | None = None,
 ) -> CensusResult:
     """The one census driver behind generate and find_unique_k_witnesses.
 
     Searches for the classes of ``eff`` and hands each full-order class to
-    ``visit`` once, with the result it records into.  The search starts
+    ``visit`` once, with the result it records into.  A class below full
+    order that ``keep`` rejects is not expanded.  A canonical parent is an
+    induced subgraph of its children, so when ``keep`` holds for every
+    induced subgraph of a graph it holds for, the only full-order classes
+    lost are those that fail ``keep`` themselves.  The search starts
     from the pending roots of ``checkpoint`` or from the order-1 root, and
     the order-1 task is decided without a search.  With ``threads`` > 1 the
     tree is expanded breadth-first and its roots are shared among forked
@@ -518,7 +536,7 @@ def _drive(
         stack = [(Graph(1), b"@", [])]
     pending = None
     if threads > 1:
-        roots = sorted(_expand_frontier(eff, stack, threads * 4, inner, stats))
+        roots = sorted(_expand_frontier(eff, stack, threads * 4, inner, keep, stats))
         tokens = [_make_token(task, roots[i::threads], {}, mode, [])
                   for i in range(min(threads, len(roots)))]
         if tokens:
@@ -529,7 +547,7 @@ def _drive(
                         _bump(stats, key, val)
                     result.witnesses.extend(part.witnesses)
     else:
-        pending = _census_loop(eff, stack, inner, stats, eff.budget())
+        pending = _census_loop(eff, stack, inner, keep, stats, eff.budget())
     if pending is not None:
         witnesses = result.witnesses if mode == "witness" else None
         result.checkpoint = _make_token(task, pending, stats, mode, witnesses)
@@ -582,18 +600,15 @@ def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
 def _battery(g: Graph, canon: bytes, task: CensusTask, stats: dict, out: list[Witness]) -> None:
     """Decide one full-order class, cheapest check first.
 
-    The Xu edge bound, then the colouring decision (one partition
-    enumeration capped at two), then the balanced test on the colouring that
-    decision found.  Only a witness gets a report, and with it the
-    (k-1)-connectivity test, which cannot fail there: a uniquely
-    k-colourable graph is (k-1)-connected (Chartrand and Geller, 1969).
+    The colouring decision (one partition enumeration capped at two), then
+    the balanced test on the colouring that decision found.  Only a witness
+    gets a report, and with it the (k-1)-connectivity test, which cannot
+    fail there: a uniquely k-colourable graph is (k-1)-connected (Chartrand
+    and Geller, 1969).  Xu's edge bound needs no test: it is the floor of
+    the task's edge window, which the search applies at full order.
     """
     k = task.k
     _bump(stats, "battery_candidates")
-    ok, _ = xu_bound_holds(g, k)
-    if not ok:
-        _bump(stats, "failed_xu")
-        return
     decision = _decide(g, k)
     if decision.verdict != "yes":
         _bump(stats, "failed_unique")
@@ -602,7 +617,7 @@ def _battery(g: Graph, canon: bytes, task: CensusTask, stats: dict, out: list[Wi
         _bump(stats, "failed_balanced")
         return
     report = _report(g, k, decision)
-    assert report.connectivity_ok
+    assert report.connectivity_ok and report.xu_slack >= 0
     _bump(stats, "witnesses")
     out.append(
         Witness(graph6=canon.decode("ascii"), n=g.n, k=k, edges=g.edge_count(), report=report)
@@ -614,8 +629,10 @@ def find_unique_k_witnesses(
 ) -> CensusResult:
     """Census filtered down to uniquely k-colourable graphs.
 
-    Runs the census under the necessary-condition prefilter (degree floor
-    k-1, connected), then the battery per survivor.  Witnesses are
+    Runs the census under necessary conditions for unique k-colourability,
+    then the battery per survivor.  The conditions are the degree floor k-1,
+    connectivity, Xu's edge floor as the floor of the edge window, and
+    k-colourability of every class below full order.  Witnesses are
     reported sorted by (edges, graph6).  ``threads`` > 1 distributes the
     search tree over worker processes (budgets then unsupported).
     """
@@ -623,13 +640,24 @@ def find_unique_k_witnesses(
         raise ValueError("threads must be at least 1")
     if threads > 1 and (task.budget() is not None or checkpoint is not None):
         raise ValueError("budgets and checkpoints are only supported on single-worker runs")
-    # necessary conditions for unique k-colourability become structural prunes
-    eff = replace(task, min_degree=max(task.min_degree, task.k - 1), connected=True)
+    n, k = task.n, task.k
+    lo, hi = task.edge_window if task.edge_window is not None else (0, n * (n - 1) // 2)
+    lo = max(lo, (k - 1) * n - k * (k - 1) // 2)
+    if lo > hi:
+        # no graph in the window has enough edges to be uniquely k-colourable
+        if checkpoint is not None:
+            _check_token(checkpoint, task, "witness")
+        return CensusResult(task=task)
+    eff = replace(task, min_degree=max(task.min_degree, k - 1), connected=True,
+                  edge_window=(lo, hi))
 
     def on_class(g: Graph, canon: bytes, result: CensusResult) -> None:
         _battery(g, canon, eff, result.stats, result.witnesses)
 
-    return _drive(task, eff, "witness", on_class, checkpoint, threads)
+    def colourable(g: Graph) -> bool:
+        return count_colour_partitions(g, k, cap=1) == 1
+
+    return _drive(task, eff, "witness", on_class, checkpoint, threads, colourable)
 
 
 def resume(checkpoint: dict, visit: Callable[[Graph], None] | None = None) -> CensusResult:

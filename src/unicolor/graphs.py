@@ -514,12 +514,20 @@ def is_triangle_free(g: Graph) -> bool:
 # -- canonical forms -------------------------------------------------------
 
 
-def _refine_colours(n: int, rows: Sequence[int]) -> list[int]:
-    """Iterated neighbourhood refinement; stable, isomorphism-invariant ranks."""
+def _refine_colours(n: int, rows: Sequence[int], last: int | None = None) -> list[int] | None:
+    """Iterated neighbourhood refinement; stable, isomorphism-invariant ranks.
+
+    Each round's signature starts with the previous colour, so a vertex that
+    leaves the top cell never returns to it.  With ``last`` given, the result
+    is None from the first round in which vertex ``last`` is not in the top
+    cell, as it then cannot be placed last by the canonical labelling.
+    """
     cols = [rows[v].bit_count() for v in range(n)]
     rank = {c: i for i, c in enumerate(sorted(set(cols)))}
     cols = [rank[c] for c in cols]
     ncells = len(rank)
+    if last is not None and cols[last] != ncells - 1:
+        return None
     while ncells < n:
         sigs = []
         for v in range(n):
@@ -536,6 +544,8 @@ def _refine_colours(n: int, rows: Sequence[int]) -> list[int]:
         if len(rank) == ncells:
             return new
         ncells = len(rank)
+        if last is not None and new[last] != ncells - 1:
+            return None
         cols = new
     return cols
 
@@ -583,7 +593,10 @@ def _canonical_placement(
     best: list[int] | None = None
     best_place: list[int] | None = None
     gen = 0
-    w = [0] * n  # per-vertex adjacency word against the placed prefix
+    # per-vertex adjacency word against the placed prefix: bit n-1-i is set
+    # when the vertex is adjacent to the vertex placed at position i
+    w = [0] * n
+    nbrs = [[x for x in range(n) if rows[v] >> x & 1] for v in range(n)]
     place: list[int] = []
     cur: list[int] = []
     used = 0
@@ -630,12 +643,12 @@ def _canonical_placement(
             place.append(v)
             cur.append(wv)
             used |= 1 << v
-            rv = rows[v]
-            for x in range(n):
-                w[x] = (w[x] << 1) | ((rv >> x) & 1)
+            bit = 1 << (n - 1 - pos)
+            for x in nbrs[v]:
+                w[x] |= bit
             rec(pos + 1, child_greater)
-            for x in range(n):
-                w[x] >>= 1
+            for x in nbrs[v]:
+                w[x] ^= bit
             used ^= 1 << v
             place.pop()
             cur.pop()
@@ -680,13 +693,14 @@ def _canonical_if_last(
 
     The placement lists cells in ascending colour order, and colours rank by
     degree first, so its last vertex has maximum degree and lies in the top
-    refined cell.  A vertex outside that cell is rejected without labelling;
-    otherwise the labelling reuses the colours, and fills ``autos`` as
+    refined cell.  A vertex outside that cell is rejected without labelling,
+    in the first refinement round in which it leaves the cell; otherwise the
+    labelling reuses the colours, and fills ``autos`` as
     _canonical does.  Callers that can read degrees more cheaply than the
     rows may reject by degree first.
     """
-    cols = _refine_colours(n, rows)
-    if cols[v] != max(cols):
+    cols = _refine_colours(n, rows, v)
+    if cols is None:
         return None
     return _canonical(n, rows, cols, autos)
 

@@ -369,6 +369,88 @@ class TestGoldenCensus:
             "bf07b09281ca04acc64071a5ecec8ae24bb7b8c2"
 
 
+class TestGoldenWitnessLists:
+    # stdout of `unicolor census --n N --k K`, pinned before the witness
+    # search pruned by k-colourability and Xu's edge floor
+    @pytest.mark.parametrize("n, k, lines, sha1", [
+        (2, 2, 1, "3e0a09ea124a6917fab558683db7b80147027901"),
+        (3, 2, 1, "69253af73a00fa0e81a7f16b8376681e396508be"),
+        (3, 3, 1, "d2743e54a47b21d1d2a4d830dde874dc142b0302"),
+        (4, 2, 3, "87569c9ecc1c7412fb03a22d9e848822d1621214"),
+        (4, 3, 1, "da2d08d6288c69f4ec349712e29e4822b754b5d9"),
+        (4, 4, 1, "5e1e5a3a2f1899d6fecad4828e32473838284127"),
+        (5, 2, 5, "7516303d989b4fb807d0b6b3498903673e3f08e6"),
+        (5, 3, 3, "05cb2038e8844b38092879dc86aedf0bc3ee62b8"),
+        (5, 4, 1, "7248d36484e72f29367a75e2164dcc7f4de03db7"),
+        (5, 5, 1, "be8cb78b455c0c79d1d3d5cb2b425d41a67bf0e5"),
+        (6, 2, 17, "5f23fb9b6db24e9911628c5c55770c6008996c4a"),
+        (6, 3, 12, "c3730a87390a374f24e20f540202e9582c8ac73a"),
+        (6, 4, 3, "910e041f3e948b3e5459cb5651ec9ff1439ce31c"),
+        (6, 5, 1, "f33febcbbabc9bbc40dc29ba68205949547ceb2f"),
+        (7, 2, 44, "5684a439a48191f30432ec69f6588558543a5b36"),
+        (7, 3, 72, "a59e9853363ed4ef8eae2037794cfb892930ba92"),
+        (7, 4, 12, "a1a356e28a540d6a7f45e7b02c18b7d0d21d1079"),
+        (7, 5, 3, "3dcf3de37e0587ca12628c7bbc2ec8363bdedb52"),
+        (8, 2, 182, "20e4a70258d30cdd2404c4f6c862061408c3f8ea"),
+        # (8, 3) is TestGoldenCensus.test_cli_witness_list
+        (8, 4, 127, "5d4abd0aef8ea24acd94dd7b57e8e8a8b5f7b475"),
+        (8, 5, 12, "29a4dd80cd2512a6197bfa6d80d1fa9a8fcb0c25"),
+        (9, 4, 3426, "11f377037ff710d535d197a7e082edd9085e68b5"),
+    ])
+    def test_witness_list(self, capsys, n, k, lines, sha1):
+        assert main(["census", "--n", str(n), "--k", str(k)]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == lines
+        assert hashlib.sha1(out.encode("utf-8")).hexdigest() == sha1
+
+    @pytest.mark.parametrize("n, k", [(n, k) for n in range(1, 5) for k in range(n + 1, 6)])
+    def test_no_witnesses_below_order_k(self, capsys, n, k):
+        assert main(["census", "--n", str(n), "--k", str(k)]) == 0
+        assert capsys.readouterr().out == ""
+
+
+class TestWitnessPrunes:
+    @pytest.mark.parametrize("task", [
+        CensusTask(n=8, k=3, edge_window=(0, 10)),  # below Xu's floor, 2 * 8 - 3 = 13
+        CensusTask(n=6, k=7),
+        # the census asks for connectivity at every k, so even the edgeless
+        # graph is not reported at k = 1
+        CensusTask(n=5, k=1),
+        CensusTask(n=8, k=1),
+    ])
+    def test_tasks_without_witnesses_complete(self, task):
+        res = find_unique_k_witnesses(task)
+        assert res.complete and res.witnesses == [] and res.task == task
+
+    def test_xu_floor_is_exact(self):
+        below = find_unique_k_witnesses(CensusTask(n=8, k=3, edge_window=(0, 12)))
+        at = find_unique_k_witnesses(CensusTask(n=8, k=3, edge_window=(0, 13)))
+        assert below.witnesses == [] and below.stats == {}
+        assert at.witnesses and all(w.edges == 13 for w in at.witnesses)
+
+    def test_window_below_xu_floor_still_checks_the_token(self):
+        token = find_unique_k_witnesses(CensusTask(n=6, k=2, budget_nodes=5)).checkpoint
+        with pytest.raises(ValueError, match="different task"):
+            find_unique_k_witnesses(CensusTask(n=8, k=3, edge_window=(0, 10)), checkpoint=token)
+
+    def test_uncolourable_parents_are_not_expanded(self, monkeypatch):
+        import unicolor.census as census_module
+
+        parents: list[Graph] = []
+        extend = census_module._extend_parent
+
+        def spy(task, parent, *args):
+            parents.append(parent)
+            return extend(task, parent, *args)
+
+        monkeypatch.setattr(census_module, "_extend_parent", spy)
+        res = find_unique_k_witnesses(CensusTask(n=6, k=2))
+        assert len(res.witnesses) == 17
+        assert max(g.n for g in parents) == 5
+        assert all(is_triangle_free(g) for g in parents)
+        assert all(brute_chromatic_number(g) <= 2 for g in parents)
+
+
 class TestOrbitPruning:
     def _tree(self, task: CensusTask):
         """Every (child, generators) pair the census accepts below full order."""
@@ -396,8 +478,10 @@ class TestOrbitPruning:
     def test_pruned_masks_count_as_duplicate_siblings(self):
         stats = generate(CensusTask(n=7)).stats
         assert stats["duplicate_siblings"] == 1492
-        assert stats["rejected_not_canonical"] == 8547
-        assert stats["extensions_tried"] == 11290
+        # masks below the parent's top degree are never built: of the 11,290
+        # masks tried before that floor, 6,116 were rejected by it one by one
+        assert stats["rejected_not_canonical"] == 2431
+        assert stats["extensions_tried"] == 5174
 
     def test_checkpoint_chain_repeats_the_sequential_run(self):
         task = CensusTask(n=7, min_degree=1)

@@ -321,8 +321,9 @@ class TestResumeTokens:
     def test_witnesses_survive_resume(self, capsys, tmp_path):
         _, direct, _ = run(capsys, "census", "--n", "6", "--k", "2")
         cp = tmp_path / "token.json"
+        # the search expands 26 parents: 15 stops it halfway, with 4 witnesses
         code, _, _ = run(capsys, "census", "--n", "6", "--k", "2",
-                         "--budget-nodes", "30", "--checkpoint", str(cp))
+                         "--budget-nodes", "15", "--checkpoint", str(cp))
         assert code == 3 and json.loads(cp.read_text())["witnesses"]
         while code == 3:
             code, out, _ = run(capsys, "census", "--resume", "--checkpoint", str(cp))
