@@ -45,11 +45,21 @@ k-colourability: minimum degree k-1 and connectivity, as above; Xu's bound
 edges, as the floor of the edge window, so that the lookahead prunes with it
 too; and k-colourability, which is hereditary, so a class below full order
 that is not k-colourable, tested by one partition enumeration capped at
-one, is not expanded.  It then runs one battery per full-order class,
-cheapest check first: the colouring decision (one partition enumeration
-capped at two; the chromatic number is never computed), then the balanced
-test.  Only witnesses get a report, and so the (k-1)-connectivity test,
-which a uniquely k-colourable graph always passes.
+one, is not expanded.  A uniquely 1-colourable graph is edgeless, so
+connectivity is required only for k >= 2.  At full order the colouring
+decision (one partition enumeration capped at two; the chromatic number is
+never computed), then the balanced test, run on every child before it is
+refined or labelled: both are isomorphism-invariant, and they reject most
+children, which are then never labelled.  A child that passes is labelled
+and tested for canonicity as above, and the colouring its decision found is
+carried to its canonical labels, so each class is enumerated once.  The
+stats count accordingly: ``battery_candidates``, ``failed_unique`` and
+``failed_balanced`` count full-order children, while ``visited`` and the
+full-order ``classes_order_<n>`` count the accepted classes that passed.
+Only witnesses get a report, and so the (k-1)-connectivity test, which a
+uniquely k-colourable graph always passes.  A witness loaded from a
+checkpoint is decided and reported again, and the token is rejected unless
+the stored witness matches.
 """
 
 from __future__ import annotations
@@ -60,12 +70,21 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
 from .budget import Budget, BudgetExceededError
-from .colouring import VerificationReport, _decide, _report, count_colour_partitions
+from .colouring import (
+    Colouring,
+    VerificationReport,
+    _decide,
+    _Decision,
+    _report,
+    count_colour_partitions,
+)
 from .graphs import (
     Graph,
     _canonical,
     _canonical_if_last,
     independence_number,
+    is_connected,
+    is_triangle_free,
     parse_graph6,
 )
 
@@ -262,14 +281,19 @@ def _extend_parent(
     parent_canon: bytes,
     stats: dict[str, int],
     gens: list[list[int]],
-) -> list[tuple[Graph, bytes, list[list[int]]]]:
+    decide: Callable[[Graph, CensusTask, dict], _Decision | None] | None = None,
+) -> list[tuple[Graph, bytes, list[list[int]] | _Decision]]:
     """All accepted child classes of one parent, as canonical representatives.
 
     ``gens`` generate the parent's automorphism group.  Children have order
     r+1; when r+1 == task.n the full-order structural filters (connectivity,
     exact degree floor, edge window) apply, otherwise hereditary constraints
     plus sound lookahead bounds.  Each child below full order comes with
-    generators of its own group, in its canonical labels.
+    generators of its own group, in its canonical labels.  A full-order child
+    comes with [], or, when ``decide`` is given, with the decision
+    ``decide(child, task, stats)`` made on it before it was labelled, carried
+    to its canonical labels; a child whose decision is None is dropped
+    unlabelled.
     """
     n = task.n
     dmin = task.min_degree
@@ -302,7 +326,7 @@ def _extend_parent(
     free = ((1 << r) - 1) & ~req
     masks = _candidate_masks(rows, req, free, lo_sz, hi_sz, task.triangle_free)
     _bump(stats, "extensions_tried", len(masks))
-    accepted: list[tuple[Graph, bytes, list[list[int]]]] = []
+    accepted: list[tuple[Graph, bytes, list[list[int]] | _Decision]] = []
     seen_here: set[bytes] = set()
     comps = _components(rows) if r1 == n and task.connected else None
     maps = None  # the generators' mask tables, built when first needed
@@ -333,6 +357,13 @@ def _extend_parent(
                         tried.add(x)
                         orbit.append(x)
         child = parent.with_vertex(mask)
+        decision = None
+        if decide is not None and r1 == n:
+            # the decision is isomorphism-invariant and rejects most
+            # full-order children, so it runs before refinement and labelling
+            decision = decide(child, task, stats)
+            if decision is None:
+                continue
         autos: list[list[int]] | None = [] if r1 < n else None
         labelled = _canonical_if_last(r1, child.adj, r, autos)
         if labelled is None:
@@ -354,47 +385,27 @@ def _extend_parent(
                 _bump(stats, "rejected_not_canonical")
                 continue
         _bump(stats, f"classes_order_{r1}")
-        child_gens = []
+        extra: list[list[int]] | _Decision = []
         if autos:
             label = [0] * r1
             for i, v in enumerate(placement):
                 label[v] = i
-            child_gens = [[label[p[v]] for v in placement] for p in autos]
-        accepted.append((child.permuted(placement), canon, child_gens))
+            extra = [[label[p[v]] for v in placement] for p in autos]
+        elif decision is not None:
+            colours = decision.colouring.assignment
+            extra = decision._replace(colouring=Colouring([colours[v] for v in placement]))
+        accepted.append((child.permuted(placement), canon, extra))
     return accepted
 
 
-def _expand(
-    task: CensusTask,
-    parent: Graph,
-    parent_canon: bytes,
-    gens: list[list[int]],
-    visit: Callable[[Graph, bytes], None],
-    keep: Callable[[Graph], bool] | None,
-    stats: dict[str, int],
-    out: list[tuple[Graph, bytes, list[list[int]]]],
-) -> None:
-    """Hand the full-order children of one parent to ``visit`` and append
-    the others that ``keep`` accepts, with their generators, to ``out``."""
-    for child, canon, child_gens in _extend_parent(task, parent, parent_canon, stats, gens):
-        if child.n == task.n:
-            visit(child, canon)
-        elif keep is None or keep(child):
-            out.append((child, canon, child_gens))
-
-
 def _census_loop(
-    task: CensusTask,
     stack: list[tuple[Graph, bytes, list[list[int]]]],
-    visit: Callable[[Graph, bytes], None],
-    keep: Callable[[Graph], bool] | None,
-    stats: dict[str, int],
+    expand: Callable[[Graph, bytes, list[list[int]], list], None],
     budget: Budget | None,
 ) -> list[str] | None:
-    """Depth-first drive of _extend_parent.  Returns the pending stack as
-    graph6 strings if the budget runs out, or None on completion.  ``visit``
-    receives each accepted full-order class once, canonically labelled;
-    a smaller class is expanded only if ``keep`` (when given) accepts it."""
+    """Depth-first drive of ``expand``, which pushes a parent's children to
+    be expanded onto the stack.  Returns the pending stack as graph6 strings
+    if the budget runs out, or None on completion."""
     while stack:
         parent, parent_canon, gens = stack.pop()
         if budget is not None:
@@ -404,26 +415,22 @@ def _census_loop(
             except BudgetExceededError:
                 stack.append((parent, parent_canon, gens))
                 return [canon.decode("ascii") for _, canon, _ in stack]
-        _expand(task, parent, parent_canon, gens, visit, keep, stats, stack)
+        expand(parent, parent_canon, gens, stack)
     return None
 
 
 def _expand_frontier(
-    eff: CensusTask,
     level: list[tuple[Graph, bytes, list[list[int]]]],
     want: int,
-    visit: Callable[[Graph, bytes], None],
-    keep: Callable[[Graph], bool] | None,
-    stats: dict[str, int],
+    n: int,
+    expand: Callable[[Graph, bytes, list[list[int]], list], None],
 ) -> list[str]:
     """Grow the augmentation tree breadth-first from ``level`` until at least
-    ``want`` subtree roots exist (or the levels run out).  Full-order classes
-    reached during expansion are handed to ``visit`` directly, and smaller
-    ones are kept as in _census_loop."""
-    while level and len(level) < want and level[0][0].n < eff.n - 1:
+    ``want`` subtree roots exist or the next level would reach order ``n``."""
+    while level and len(level) < want and level[0][0].n < n - 1:
         nxt: list[tuple[Graph, bytes, list[list[int]]]] = []
         for parent, canon, gens in level:
-            _expand(eff, parent, canon, gens, visit, keep, stats, nxt)
+            expand(parent, canon, gens, nxt)
         level = nxt
     return [canon.decode("ascii") for _, canon, _ in level]
 
@@ -495,48 +502,63 @@ def _drive(
     task: CensusTask,
     eff: CensusTask,
     mode: str,
-    visit: Callable[[Graph, bytes, CensusResult], None],
+    visit: Callable[[Graph, bytes, list | _Decision, CensusResult], None],
     checkpoint: dict | None = None,
     threads: int = 1,
     keep: Callable[[Graph], bool] | None = None,
+    decide: Callable[[Graph, CensusTask, dict], _Decision | None] | None = None,
 ) -> CensusResult:
     """The one census driver behind generate and find_unique_k_witnesses.
 
     Searches for the classes of ``eff`` and hands each full-order class to
-    ``visit`` once, with the result it records into.  A class below full
+    ``visit`` once, with what _extend_parent carries for it and the result
+    it records into.  With ``decide``, every full-order child is decided
+    before it is labelled, and only a child that passes is labelled and
+    visited, with its decision in canonical labels; the order-1 task, which
+    is settled without a search, gets the same decision.  A class below full
     order that ``keep`` rejects is not expanded.  A canonical parent is an
     induced subgraph of its children, so when ``keep`` holds for every
     induced subgraph of a graph it holds for, the only full-order classes
-    lost are those that fail ``keep`` themselves.  The search starts
-    from the pending roots of ``checkpoint`` or from the order-1 root, and
-    the order-1 task is decided without a search.  With ``threads`` > 1 the
-    tree is expanded breadth-first and its roots are shared among forked
-    workers, each resuming a witness token of its own.  When the budget of
-    ``eff`` runs out, the result carries the resume token.
+    lost are those that fail ``keep`` themselves.  The search starts from
+    the pending roots of ``checkpoint``, whose witnesses are rebuilt and
+    checked, or from the order-1 root.  With ``threads`` > 1 the tree is
+    expanded breadth-first and its roots are shared among forked workers,
+    each resuming a witness token of its own.  When the budget of ``eff``
+    runs out, the result carries the resume token.
     """
     result = CensusResult(task=task)
     stats = result.stats
 
-    def inner(g: Graph, canon: bytes) -> None:
+    def inner(g: Graph, canon: bytes, extra: list | _Decision) -> None:
         _bump(stats, "visited")
-        visit(g, canon, result)
+        visit(g, canon, extra, result)
+
+    def expand(parent: Graph, canon: bytes, gens: list[list[int]], out: list) -> None:
+        for child, child_canon, extra in _extend_parent(eff, parent, canon, stats, gens, decide):
+            if child.n == eff.n:
+                inner(child, child_canon, extra)
+            elif keep is None or keep(child):
+                out.append((child, child_canon, extra))
 
     if checkpoint is not None:
         _check_token(checkpoint, task, mode)
         stack = _load_stack(checkpoint["pending"], task.n)
         stats.update(checkpoint["stats"])
         entries = checkpoint.get("witnesses", [])
-        result.witnesses.extend(_witness_from_dict(d, task) for d in entries)
+        result.witnesses.extend(_witness_from_dict(d, eff) for d in entries)
     elif eff.n == 1:
         lo = eff.edge_window[0] if eff.edge_window is not None else 0
         if eff.min_degree <= 0 and lo <= 0:
-            inner(Graph(1), b"@")
+            g = Graph(1)
+            extra = [] if decide is None else decide(g, eff, stats)
+            if extra is not None:
+                inner(g, b"@", extra)
         return result
     else:
         stack = [(Graph(1), b"@", [])]
     pending = None
     if threads > 1:
-        roots = sorted(_expand_frontier(eff, stack, threads * 4, inner, keep, stats))
+        roots = sorted(_expand_frontier(stack, threads * 4, eff.n, expand))
         tokens = [_make_token(task, roots[i::threads], {}, mode, [])
                   for i in range(min(threads, len(roots)))]
         if tokens:
@@ -547,7 +569,7 @@ def _drive(
                         _bump(stats, key, val)
                     result.witnesses.extend(part.witnesses)
     else:
-        pending = _census_loop(eff, stack, inner, keep, stats, eff.budget())
+        pending = _census_loop(stack, expand, eff.budget())
     if pending is not None:
         witnesses = result.witnesses if mode == "witness" else None
         result.checkpoint = _make_token(task, pending, stats, mode, witnesses)
@@ -568,60 +590,76 @@ def generate(
     ``checkpoint`` is a resumable token (pass it back via ``checkpoint``).
     """
 
-    def on_class(g: Graph, canon: bytes, result: CensusResult) -> None:
+    def on_class(g: Graph, canon: bytes, extra: list, result: CensusResult) -> None:
         if visit is not None:
             visit(g)
 
     return _drive(task, task, "generate", on_class, checkpoint)
 
 
-_WITNESS_KEYS = {f.name for f in fields(Witness)}
-_REPORT_KEYS = {f.name for f in fields(VerificationReport)}
+def _battery(g: Graph, task: CensusTask, stats: dict) -> _Decision | None:
+    """The colouring decision on one full-order graph, cheapest check first,
+    or None when the graph is not a witness.
+
+    One partition enumeration capped at two (the chromatic number is never
+    computed), then the balanced test on the colouring it found.  Both are
+    isomorphism-invariant, so the census runs them on each full-order child
+    before it labels it.  Xu's edge bound needs no test: it is the floor of
+    the task's edge window, which the search applies at full order.
+    """
+    _bump(stats, "battery_candidates")
+    decision = _decide(g, task.k)
+    if decision.verdict != "yes":
+        _bump(stats, "failed_unique")
+        return None
+    if task.balanced and len(set(decision.colouring.class_sizes())) != 1:
+        _bump(stats, "failed_balanced")
+        return None
+    return decision
+
+
+def _witness(g: Graph, canon: bytes, k: int, decision: _Decision) -> Witness:
+    """The witness of a canonically labelled graph that passed _battery.
+
+    Its report is the only step that runs the (k-1)-connectivity test, which
+    cannot fail here: a uniquely k-colourable graph is (k-1)-connected
+    (Chartrand and Geller, 1969).
+    """
+    report = _report(g, k, decision)
+    assert report.connectivity_ok and report.xu_slack >= 0
+    return Witness(graph6=canon.decode("ascii"), n=g.n, k=k, edges=g.edge_count(), report=report)
+
+
+def _meets_filters(g: Graph, task: CensusTask) -> bool:
+    """Whether a graph of order task.n passes the task's structural filters."""
+    lo, hi = task.edge_window if task.edge_window is not None else (0, g.n * (g.n - 1) // 2)
+    return (
+        lo <= g.edge_count() <= hi
+        and g.min_degree() >= task.min_degree
+        and (not task.triangle_free or is_triangle_free(g))
+        and (not task.connected or is_connected(g))
+    )
 
 
 def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
-    """Inverse of Witness.to_json_dict for a witness of ``task``; raises
-    ValueError unless ``d`` and its report have exactly their keys and
-    ``d`` describes a canonical graph6 of order task.n."""
-    if (
-        not isinstance(d, dict)
-        or set(d) != _WITNESS_KEYS
-        or not isinstance(d["report"], dict)
-        or set(d["report"]) != _REPORT_KEYS
-    ):
-        raise ValueError(f"a checkpoint witness needs exactly the keys {sorted(_WITNESS_KEYS)}, "
-                         f"and its report the keys {sorted(_REPORT_KEYS)}")
-    g = _canonical_graph(d["graph6"], task.n, task.n, "witness")
-    if (d["n"], d["k"], d["edges"]) != (g.n, task.k, g.edge_count()):
-        raise ValueError(f"witness {d['graph6']!r} has the wrong order, k or edge count")
-    return Witness(**dict(d, report=VerificationReport(**d["report"])))
+    """The witness that the checkpoint entry ``d`` names, rebuilt from its
+    graph.
 
-
-def _battery(g: Graph, canon: bytes, task: CensusTask, stats: dict, out: list[Witness]) -> None:
-    """Decide one full-order class, cheapest check first.
-
-    The colouring decision (one partition enumeration capped at two), then
-    the balanced test on the colouring that decision found.  Only a witness
-    gets a report, and with it the (k-1)-connectivity test, which cannot
-    fail there: a uniquely k-colourable graph is (k-1)-connected (Chartrand
-    and Geller, 1969).  Xu's edge bound needs no test: it is the floor of
-    the task's edge window, which the search applies at full order.
+    Raises ValueError unless ``d`` names the canonical graph6 of a graph of
+    order task.n that passes the task's filters and _battery, and ``d`` is
+    exactly the JSON form of the witness rebuilt from it.
     """
-    k = task.k
-    _bump(stats, "battery_candidates")
-    decision = _decide(g, k)
-    if decision.verdict != "yes":
-        _bump(stats, "failed_unique")
-        return
-    if task.balanced and len(set(decision.colouring.class_sizes())) != 1:
-        _bump(stats, "failed_balanced")
-        return
-    report = _report(g, k, decision)
-    assert report.connectivity_ok and report.xu_slack >= 0
-    _bump(stats, "witnesses")
-    out.append(
-        Witness(graph6=canon.decode("ascii"), n=g.n, k=k, edges=g.edge_count(), report=report)
-    )
+    s = d.get("graph6") if isinstance(d, dict) else None
+    g = _canonical_graph(s, task.n, task.n, "witness")
+    if not _meets_filters(g, task):
+        raise ValueError(f"witness {s!r} does not pass the task's filters")
+    decision = _battery(g, task, {})
+    if decision is None:
+        raise ValueError(f"witness {s!r} fails the uniquely {task.k}-colourable decision")
+    w = _witness(g, s.encode("ascii"), task.k, decision)
+    if w.to_json_dict() != d:
+        raise ValueError(f"witness {s!r} differs from the witness rebuilt from its graph")
+    return w
 
 
 def find_unique_k_witnesses(
@@ -629,12 +667,14 @@ def find_unique_k_witnesses(
 ) -> CensusResult:
     """Census filtered down to uniquely k-colourable graphs.
 
-    Runs the census under necessary conditions for unique k-colourability,
-    then the battery per survivor.  The conditions are the degree floor k-1,
-    connectivity, Xu's edge floor as the floor of the edge window, and
-    k-colourability of every class below full order.  Witnesses are
-    reported sorted by (edges, graph6).  ``threads`` > 1 distributes the
-    search tree over worker processes (budgets then unsupported).
+    Runs the census under necessary conditions for unique k-colourability:
+    the degree floor k-1, connectivity when k >= 2 (a uniquely 1-colourable
+    graph is edgeless), Xu's edge floor as the floor of the edge window, and
+    k-colourability of every class below full order.  Each full-order child
+    is decided by _battery before it is labelled, and each class that passes
+    is reported once.  Witnesses are reported sorted by (edges, graph6).
+    ``threads`` > 1 distributes the search tree over worker processes
+    (budgets then unsupported).
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
@@ -648,16 +688,17 @@ def find_unique_k_witnesses(
         if checkpoint is not None:
             _check_token(checkpoint, task, "witness")
         return CensusResult(task=task)
-    eff = replace(task, min_degree=max(task.min_degree, k - 1), connected=True,
-                  edge_window=(lo, hi))
+    eff = replace(task, min_degree=max(task.min_degree, k - 1),
+                  connected=task.connected or k > 1, edge_window=(lo, hi))
 
-    def on_class(g: Graph, canon: bytes, result: CensusResult) -> None:
-        _battery(g, canon, eff, result.stats, result.witnesses)
+    def on_class(g: Graph, canon: bytes, decision: _Decision, result: CensusResult) -> None:
+        _bump(result.stats, "witnesses")
+        result.witnesses.append(_witness(g, canon, k, decision))
 
     def colourable(g: Graph) -> bool:
         return count_colour_partitions(g, k, cap=1) == 1
 
-    return _drive(task, eff, "witness", on_class, checkpoint, threads, colourable)
+    return _drive(task, eff, "witness", on_class, checkpoint, threads, colourable, _battery)
 
 
 def resume(checkpoint: dict, visit: Callable[[Graph], None] | None = None) -> CensusResult:

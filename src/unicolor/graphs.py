@@ -567,11 +567,17 @@ def _canonical_placement(
 
     When ``autos`` is a list, automorphisms the search meets are appended to
     it as permutation lists (vertex x maps to p[x]): for each leaf equal to
-    the best so far, best_place[i] -> place[i]; for each skipped twin, its
-    transposition with the earlier twin of the same row.  Every best leaf
-    outside a skipped subtree is such a leaf, and a skipped subtree is the
-    image of an explored one under its transposition, so together they
-    generate the whole automorphism group.
+    the best so far, best_place[i] -> place[i]; for each twin, the first
+    time it is skipped, its transposition with the twin of the same row
+    explored at that node.  Every best leaf outside a skipped subtree is
+    such a leaf, and a skipped subtree is the image of an explored one under
+    a transposition of twins, so together they generate the whole
+    automorphism group.  One transposition per twin is enough.  Twins share
+    a cell and have equal words, and the first node the search reaches at
+    the start of that cell comes before any leaf, so nothing is cut there:
+    it explores the lowest twin of each class, skips the others, and records
+    each one's transposition with the lowest.  These generate every
+    permutation of the class, which holds every later transposition.
     """
     if n == 0:
         return []
@@ -600,9 +606,10 @@ def _canonical_placement(
     place: list[int] = []
     cur: list[int] = []
     used = 0
+    swapped = 0  # the twins whose transposition autos holds
 
     def rec(pos: int, strictly_greater: bool) -> None:
-        nonlocal best, best_place, gen, used
+        nonlocal best, best_place, gen, used, swapped
         if pos == n:
             if best is None or strictly_greater:
                 best = cur.copy()
@@ -634,7 +641,8 @@ def _canonical_placement(
             if seen_f is not None:
                 u = seen_f.get(kf, seen_t.get(kt))
                 if u is not None:
-                    if autos is not None:
+                    if autos is not None and not swapped >> v & 1:
+                        swapped |= 1 << v
                         perm = list(range(n))
                         perm[u], perm[v] = v, u
                         autos.append(perm)

@@ -21,6 +21,7 @@ from unicolor.census import (
     resume,
 )
 from unicolor.cli import main
+from unicolor.colouring import find_colour_partition
 from unicolor.graphs import (
     Graph,
     canonical_form,
@@ -151,12 +152,31 @@ class TestCheckpointResume:
             assert hops >= 1
 
     def test_witness_mode_chain(self):
-        direct = find_unique_k_witnesses(CensusTask(n=5, k=2))
-        task = CensusTask(n=5, k=2, budget_nodes=2)
+        # the sequential run, a forked one and a budget -> resume chain
+        # decide the same children and report the same witnesses
+        direct = find_unique_k_witnesses(CensusTask(n=6, k=2))
+        forked = find_unique_k_witnesses(CensusTask(n=6, k=2), threads=2)
+        task = CensusTask(n=6, k=2, budget_nodes=2)
         res = find_unique_k_witnesses(task)
+        hops = 0
         while not res.complete:
             res = resume(checkpoint_loads(checkpoint_dumps(res.checkpoint)))
-        assert [w.graph6 for w in res.witnesses] == [w.graph6 for w in direct.witnesses]
+            hops += 1
+        assert hops >= 2
+        want = [w.to_json_dict() for w in direct.witnesses]
+        assert len(want) == 17
+        for other in (forked, res):
+            assert [w.to_json_dict() for w in other.witnesses] == want
+            assert other.stats == direct.stats
+
+    def test_witness_outside_the_task_is_rejected(self):
+        # a uniquely 2-colourable graph with 5 edges, in the token of a task
+        # that asks for 4: it passes the decision but not the edge window
+        task = CensusTask(n=5, k=2, edge_window=(4, 4), budget_nodes=1)
+        token = find_unique_k_witnesses(task).checkpoint
+        [five] = find_unique_k_witnesses(CensusTask(n=5, k=2, edge_window=(5, 5))).witnesses
+        with pytest.raises(ValueError, match="filters"):
+            find_unique_k_witnesses(task, checkpoint=dict(token, witnesses=[five.to_json_dict()]))
 
     def test_token_validation(self):
         task = CensusTask(n=6, budget_nodes=1)
@@ -224,8 +244,6 @@ class TestWitnessSearch:
         bal_forms = {w.graph6 for w in balanced.witnesses}
         assert bal_forms <= {w.graph6 for w in plain.witnesses}
         for w in plain.witnesses:
-            from unicolor.colouring import find_colour_partition
-
             c = find_colour_partition(parse_graph6(w.graph6), 3)
             is_bal = len(set(c.class_sizes())) == 1
             assert (w.graph6 in bal_forms) == is_bal
@@ -341,6 +359,33 @@ class TestRejectBeforeLabelling:
         assert calls < res.stats["extensions_tried"] / 2
 
 
+class TestDecideBeforeLabelling:
+    @pytest.mark.parametrize("task", [CensusTask(n=7, k=3), CensusTask(n=6, k=3, balanced=True)])
+    def test_only_full_order_witnesses_are_labelled(self, monkeypatch, task):
+        import unicolor.census as census_module
+
+        labelled: list[Graph] = []
+        if_last = census_module._canonical_if_last
+
+        def spy(n, rows, v, autos=None):
+            if n == task.n:
+                labelled.append(Graph.from_rows(rows))
+            return if_last(n, rows, v, autos)
+
+        monkeypatch.setattr(census_module, "_canonical_if_last", spy)
+        res = find_unique_k_witnesses(task)
+        stats = res.stats
+        assert res.witnesses and len(labelled) >= len(res.witnesses)
+        for g in labelled:
+            assert brute_chromatic_number(g) == task.k and brute_count_partitions(g, task.k) == 1
+            if task.balanced:
+                assert len(set(find_colour_partition(g, task.k).class_sizes())) == 1
+        decided = stats["battery_candidates"]
+        failed = stats["failed_unique"] + stats.get("failed_balanced", 0)
+        assert failed > 0 and decided - failed == len(labelled)
+        assert stats["visited"] == stats["witnesses"] == len(res.witnesses)
+
+
 def _visit_sha1(visits: list[Graph]) -> str:
     return hashlib.sha1("".join(emit_graph6(g) + "\n" for g in visits).encode("ascii")).hexdigest()
 
@@ -413,14 +458,16 @@ class TestWitnessPrunes:
     @pytest.mark.parametrize("task", [
         CensusTask(n=8, k=3, edge_window=(0, 10)),  # below Xu's floor, 2 * 8 - 3 = 13
         CensusTask(n=6, k=7),
-        # the census asks for connectivity at every k, so even the edgeless
-        # graph is not reported at k = 1
-        CensusTask(n=5, k=1),
-        CensusTask(n=8, k=1),
     ])
     def test_tasks_without_witnesses_complete(self, task):
         res = find_unique_k_witnesses(task)
         assert res.complete and res.witnesses == [] and res.task == task
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_k1_witness_is_the_edgeless_graph(self, n):
+        # a uniquely 1-colourable graph is edgeless, and need not be connected
+        res = find_unique_k_witnesses(CensusTask(n=n, k=1))
+        assert res.complete and [w.graph6 for w in res.witnesses] == [emit_graph6(Graph(n))]
 
     def test_xu_floor_is_exact(self):
         below = find_unique_k_witnesses(CensusTask(n=8, k=3, edge_window=(0, 12)))

@@ -329,6 +329,29 @@ class TestResumeTokens:
             code, out, _ = run(capsys, "census", "--resume", "--checkpoint", str(cp))
         assert code == 0 and out == direct
 
+    @pytest.mark.parametrize("forge, forge_report, message", [
+        # the canonical F??~w has 7 vertices and 9 edges, is connected and
+        # has a triangle: it passes every filter of the task but is not
+        # uniquely 2-colourable
+        (dict(graph6="F??~w", edges=9), dict(graph6="F??~w"), "decision"),
+        ({}, dict(xu_slack=0), "differs"),
+        ({}, dict(two_class_connected_ok=False), "differs"),
+    ], ids=["not-a-witness", "report-xu-slack", "report-two-class"])
+    def test_forged_witness_is_an_input_error(self, capsys, tmp_path, forge, forge_report,
+                                              message):
+        cp = tmp_path / "token.json"
+        code, _, _ = run(capsys, "census", "--n", "7", "--k", "2",
+                         "--budget-nodes", "20", "--checkpoint", str(cp))
+        token = json.loads(cp.read_text())
+        assert code == 3 and token["witnesses"]
+        first = token["witnesses"][0]
+        assert first["report"]["xu_slack"] != 0
+        token["witnesses"][0] = dict(first, report=dict(first["report"], **forge_report), **forge)
+        cp.write_text(json.dumps(token))
+        code, out, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
+        assert code == 2 and out == ""
+        assert message in err and "Traceback" not in err
+
     def test_well_formed_witness_is_kept(self, capsys, tmp_path):
         cp = tmp_path / "token.json"
         cp.write_text(json.dumps(_with_witness(_budgeted_token(capsys, cp))))

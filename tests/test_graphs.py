@@ -402,6 +402,14 @@ class TestAutomorphismGenerators:
             assert all(is_automorphism(g, p) for p in autos)
             assert group_order(autos, g.n) == brute_automorphism_count(g), emit_graph6(g)
 
+    def test_one_transposition_per_twin(self):
+        # all eight vertices are twins: seven transpositions generate S_8
+        for g in (Graph(8), complete_graph(8)):
+            autos: list[list[int]] = []
+            _canonical(8, g.adj, autos=autos)
+            assert len(autos) == 7
+            assert group_order(autos, 8) == math.factorial(8)
+
     def test_only_collected_when_asked(self):
         g = cycle_graph(6)
         cols = _refine_colours(6, g.adj)
