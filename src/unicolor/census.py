@@ -82,6 +82,7 @@ from .graphs import (
     Graph,
     _canonical,
     _canonical_if_last,
+    _component,
     independence_number,
     is_connected,
     is_triangle_free,
@@ -243,18 +244,8 @@ def _components(rows: Sequence[int]) -> list[int]:
     comps = []
     rest = (1 << len(rows)) - 1
     while rest:
-        seen = frontier = rest & -rest
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                b = m & -m
-                nxt |= rows[b.bit_length() - 1]
-                m ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-        comps.append(seen)
-        rest &= ~seen
+        comps.append(_component(rows, rest & -rest, rest))
+        rest &= ~comps[-1]
     return comps
 
 

@@ -33,7 +33,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .budget import Budget, BudgetExceededError
 from .graphs import (
     Graph,
-    _connected_within,
+    _component,
     clique_number,
     emit_graph6,
     is_connected,
@@ -397,17 +397,7 @@ def kempe_change(g: Graph, c: Colouring, class_a: int, class_b: int, seed: int) 
     union = masks[class_a] | masks[class_b]
     if not 0 <= seed < g.n or not (union >> seed) & 1:
         raise ColouringError(f"seed vertex {seed} not in either class")
-    comp = 1 << seed
-    frontier = comp
-    while frontier:
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            nxt |= g.adj[b.bit_length() - 1]
-            m ^= b
-        frontier = nxt & union & ~comp
-        comp |= frontier
+    comp = _component(g.adj, 1 << seed, union)
     assignment = list(c.assignment)
     m = comp
     while m:
@@ -427,7 +417,8 @@ def two_class_connected(g: Graph, c: Colouring) -> bool:
     masks = c.classes()
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
-            if not _connected_within(g.adj, masks[i] | masks[j]):
+            union = masks[i] | masks[j]
+            if _component(g.adj, union & -union, union) != union:
                 return False
     return True
 

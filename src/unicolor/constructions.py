@@ -69,8 +69,6 @@ def nu(h: ColouredGraph) -> ColouredGraph:
     if n == 0:
         raise ConstructionError("seed graph must have at least one vertex")
     order = (k + 1) * n
-    if order > MAX_ORDER:
-        raise OrderLimitError(f"expansion order {order} exceeds {MAX_ORDER}")
     edges: list[tuple[int, int]] = list(g.edges())
     for u, v in g.edges():
         for p in range(1, k + 1):
@@ -132,8 +130,6 @@ def extend_uniquely(h: ColouredGraph, class_index: int) -> ColouredGraph:
     g, c = h.graph, h.colouring
     if not 0 <= class_index < c.k:
         raise ConstructionError(f"class index {class_index} out of range 0..{c.k - 1}")
-    if g.n + 1 > MAX_ORDER:
-        raise OrderLimitError(f"order {g.n + 1} exceeds {MAX_ORDER}")
     mask = ((1 << g.n) - 1) & ~c.classes()[class_index]
     out = g.with_vertex(mask)
     assignment = list(c.assignment) + [class_index]
@@ -175,16 +171,13 @@ def nesetril_step(h: ColouredGraph) -> ColouredGraph:
     members = independent_transversals(h, size)
     if not members:
         raise ConstructionError("no independent transversals of the required size")
-    order = g.n + len(members)
-    if order > MAX_ORDER:
-        raise OrderLimitError(f"expansion order {order} exceeds {MAX_ORDER}")
     edges = list(g.edges())
     assignment = list(c.assignment)
     for i, group in enumerate(members):
         w = g.n + i
         edges.extend((w, v) for v in group)
         assignment.append(c.k)
-    return ColouredGraph(Graph(order, edges), Colouring(assignment))
+    return ColouredGraph(Graph(g.n + len(members), edges), Colouring(assignment))
 
 
 @dataclass(frozen=True)

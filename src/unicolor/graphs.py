@@ -1,8 +1,10 @@
-"""Bit-matrix simple graphs of order <= 64 and structural primitives on them.
+"""Bit-matrix simple graphs of order <= 1,024 and structural primitives on them.
 
 Vertices are 0..n-1.  Adjacency is a tuple of n Python-int bitmasks; bit u of
 row v is set iff uv is an edge.  All operations treat graphs as immutable
-values; "mutators" return new graphs.
+values; "mutators" return new graphs.  The order cap ``MAX_ORDER`` bounds what
+outside input (graph6 strings, constructions, sampler sizes) can ask for; it
+is checked here and nowhere else but the sampler's configuration.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from typing import Iterable, Sequence
 
 from .budget import Budget
 
-MAX_ORDER = 64
+MAX_ORDER = 1024
 CANON_MAX_ORDER = 32
 
-_G6_LONG = 126  # ord("~"), prefix of the multi-byte order encoding
+_G6_LONG = ord("~") - 63  # the code that prefixes a multi-byte order
 
 
 class Graph6Error(ValueError):
@@ -33,8 +35,10 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0 or n > MAX_ORDER:
-            raise OrderLimitError(f"order {n} outside supported range 0..{MAX_ORDER}")
+        if n < 0:
+            raise ValueError(f"order {n} is negative")
+        if n > MAX_ORDER:
+            raise OrderLimitError(f"order {n} exceeds {MAX_ORDER}")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -183,7 +187,7 @@ def complete_join(g1: Graph, g2: Graph) -> Graph:
 def _g6_order_prefix(n: int) -> str:
     if n <= 62:
         return chr(63 + n)
-    # 63..258047 use "~" plus three 6-bit digits; our order cap keeps us here
+    # 63..258047 use "~" plus three 6-bit digits; MAX_ORDER keeps us here
     return "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
 
 
@@ -231,17 +235,16 @@ def parse_graph6(text: str) -> Graph:
         if o < 63 or o > 126:
             raise Graph6Error(f"invalid graph6 character {ch!r}")
         codes.append(o - 63)
-    pos = 0
-    if codes[0] == _G6_LONG - 63:
-        if len(codes) >= 2 and codes[1] == _G6_LONG - 63:
-            raise Graph6Error("graph6 order exceeds supported maximum 64")
-        if len(codes) < 4:
+    if codes[0] == _G6_LONG:
+        start = 2 if codes[1:2] == [_G6_LONG] else 1  # "~~" leads six digits, "~" three
+        pos = 4 * start
+        if len(codes) < pos:
             raise Graph6Error("truncated graph6 order field")
-        n = (codes[1] << 12) | (codes[2] << 6) | codes[3]
-        pos = 4
+        n = 0
+        for code in codes[start:pos]:
+            n = (n << 6) | code
     else:
-        n = codes[0]
-        pos = 1
+        n, pos = codes[0], 1
     if n > MAX_ORDER:
         raise Graph6Error(f"graph6 order {n} exceeds supported maximum {MAX_ORDER}")
     nbits = n * (n - 1) // 2
@@ -274,13 +277,10 @@ def parse_graph6(text: str) -> Graph:
 # -- connectivity ----------------------------------------------------------
 
 
-def _connected_within(adj: Sequence[int], mask: int) -> bool:
-    """Is the induced subgraph on the masked vertices connected (or empty)?"""
-    if mask == 0:
-        return True
-    start = mask & -mask
-    seen = start
-    frontier = start
+def _component(adj: Sequence[int], seed: int, mask: int) -> int:
+    """The component of the seed vertex, given as a one-bit mask inside
+    ``mask``, in the subgraph induced on ``mask``; a bitmask."""
+    seen = frontier = seed
     while frontier:
         nxt = 0
         m = frontier
@@ -290,14 +290,15 @@ def _connected_within(adj: Sequence[int], mask: int) -> bool:
             m ^= b
         frontier = nxt & mask & ~seen
         seen |= frontier
-    return seen == mask
+    return seen
 
 
 def is_connected(g: Graph) -> bool:
     """Connectivity; graphs of order 0 and 1 count as connected."""
     if g.n <= 1:
         return True
-    return _connected_within(g.adj, (1 << g.n) - 1)
+    full = (1 << g.n) - 1
+    return _component(g.adj, 1, full) == full
 
 
 def _split_rows(g: Graph) -> list[int]:

@@ -46,6 +46,7 @@ from unicolor.constructions import (
     SamplerConfig,
 )
 from unicolor.graphs import (
+    MAX_ORDER,
     Graph,
     OrderLimitError,
     canonical_form,
@@ -248,7 +249,7 @@ def test_criterion_08_edge_bound_spot_checks(witness_census_n12):
 def test_criterion_09_transversal_expansion_oracle():
     with verdict(9, "path-seed transversal expansion counts") as info:
         counts = {}
-        for n in (6, 8, 10, 12):
+        for n in (6, 8, 10, 12, 30):
             g = path_graph(n)
             cg = ColouredGraph(g, find_colour_partition(g, 2))
             transversals = independent_transversals(cg, 3)
@@ -257,18 +258,18 @@ def test_criterion_09_transversal_expansion_oracle():
                      and len({v % 2 for v in c}) == 2]
             assert transversals == brute
             counts[n] = len(transversals)
-            if n + len(transversals) <= 64:
+            if n + len(transversals) <= MAX_ORDER:
                 out = nesetril_step(cg)
                 assert out.graph.n == n + len(transversals)
                 assert out.colouring.class_sizes()[-1] == len(transversals)
                 assert is_proper(out.graph, out.colouring)
                 assert chromatic_number(out.graph) <= 3
             else:
-                # order-64 representation cap: count identity checked above
+                # past the order cap: count identity checked above
                 with pytest.raises(OrderLimitError):
                     nesetril_step(cg)
         assert counts[6] == 2
-        info["detail"] = f"counts {counts}; P12 exceeds order cap as designed"
+        info["detail"] = f"counts {counts}; P30 exceeds order cap as designed"
 
 
 def test_criterion_10_sampler_contract():

@@ -119,7 +119,7 @@ class TestNu:
         assert code == 2
 
     def test_overflow_is_input_error(self, capsys):
-        code, _, err = run(capsys, "nu", "--catalog", "K3", "--iterations", "3")
+        code, _, err = run(capsys, "nu", "--catalog", "K3", "--iterations", "4")
         assert code == 2 and "exceeds" in err
 
 

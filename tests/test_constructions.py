@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from unicolor.budget import Budget
 from unicolor.colouring import (
     Colouring,
     chromatic_number,
@@ -11,6 +12,7 @@ from unicolor.colouring import (
     find_colour_partition,
     is_proper,
     is_uniquely_k_colourable,
+    verify,
 )
 from unicolor.constructions import (
     ColouredGraph,
@@ -27,14 +29,17 @@ from unicolor.constructions import (
     remove_short_cycles,
 )
 from unicolor.graphs import (
+    MAX_ORDER,
     Graph,
     OrderLimitError,
     canonical_form,
     clique_number,
     complete_graph,
     cycle_graph,
+    emit_graph6,
     girth,
     is_triangle_free,
+    parse_graph6,
     path_graph,
 )
 
@@ -128,8 +133,37 @@ class TestNu:
         h = _coloured(complete_graph(3), 3)
         assert iterate_nu(h, 0) is h
         assert iterate_nu(h, 1).graph.n == 12
+        assert iterate_nu(h, 3).graph.n == 360
         with pytest.raises(OrderLimitError):
-            iterate_nu(h, 3)  # 3 -> 12 -> 60 -> 360 vertices
+            iterate_nu(h, 4)  # 3 -> 12 -> 60 -> 360 -> 2,520 vertices
+
+
+class TestIteratedNuWitnesses:
+    """The paper's family beyond k = 4: nu^2 of each figure-1 graph is a
+    K_5-free uniquely 5-colourable graph with five classes of 48, and
+    nu^3(K3) a uniquely 6-colourable graph with six classes of 60."""
+
+    CASES = [("figure1a", 2, 5, 48, 4), ("figure1b", 2, 5, 48, 4),
+             ("figure1c", 2, 5, 48, 4), ("K3", 3, 6, 60, 6)]
+
+    @pytest.mark.parametrize("name, times, k, size, omega", CASES)
+    def test_verified_with_the_built_partition(self, name, times, k, size, omega):
+        h = iterate_nu(builtin_catalog()[name], times)
+        g = h.graph
+        assert g.n == k * size and h.k == k
+        report = verify(g, k, budget=Budget(max_nodes=10 ** 6))
+        assert report.uniquely_colourable == "yes"
+        assert report.connectivity_ok and report.two_class_connected_ok
+        assert h.colouring.class_sizes() == (size,) * k
+        assert clique_number(g) == omega
+        assert find_colour_partition(g, k) == h.colouring
+        text = emit_graph6(g)
+        assert text.startswith("~") and parse_graph6(text) == g
+
+    def test_connectivity_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        g = iterate_nu(builtin_catalog()["figure1a"], 2).graph
+        assert nx.node_connectivity(nx.Graph(g.edges())) >= 4
 
 
 class TestExtendUniquely:
@@ -182,13 +216,13 @@ class TestNesetrilStep:
         assert chromatic_number(out.graph) <= 3
 
     def test_new_class_size_matches_brute_counts(self):
-        # P12 would expand to 92 vertices, past the order-64 representation
-        # cap, so there the count identity is checked without materialising
-        for n in (6, 8, 10, 12):
+        # P30 would expand to 2,396 vertices, past the order cap, so there
+        # the count identity is checked without materialising
+        for n in (6, 8, 10, 12, 30):
             h = _coloured(path_graph(n), 2)
             count = len(independent_transversals(h, 3))
             assert count == len(_brute_transversals(h, 3))
-            if n + count <= 64:
+            if n + count <= MAX_ORDER:
                 out = nesetril_step(h)
                 assert out.graph.n == n + count
                 assert out.colouring.class_sizes()[-1] == count
@@ -216,7 +250,7 @@ class TestSampler:
         with pytest.raises(ValueError):
             SamplerConfig(k=3, n=4, epsilon=Fraction(1))
         with pytest.raises(OrderLimitError):
-            SamplerConfig(k=5, n=13, epsilon=Fraction(1, 20))
+            SamplerConfig(k=5, n=205, epsilon=Fraction(1, 20))
         with pytest.raises(ValueError):
             SamplerConfig(k=3, n=4, epsilon=Fraction(1, 20), girth_target=1)
 

@@ -61,7 +61,7 @@ class TestGraphBasics:
         with pytest.raises(ValueError):
             Graph(-1)
         with pytest.raises(OrderLimitError):
-            Graph(65)
+            Graph(1025)
 
     def test_builders(self):
         assert complete_graph(4).edge_count() == 6
@@ -103,7 +103,7 @@ class TestGraph6:
 
     def test_round_trip_long_form_orders(self):
         rng = random.Random(7002)
-        for n in (62, 63, 64):
+        for n in (62, 63, 64, 1024):
             g = random_graph(rng, n, 0.1)
             s = emit_graph6(g)
             if n >= 63:
@@ -125,8 +125,12 @@ class TestGraph6:
             parse_graph6("BwBw")
         with pytest.raises(Graph6Error, match="padding"):
             parse_graph6("B" + chr(63 + 0b111111))
-        with pytest.raises(Graph6Error, match="exceeds"):
-            parse_graph6("~?@@")
+        with pytest.raises(Graph6Error, match="order 1025 exceeds"):
+            parse_graph6("~?O@")
+        with pytest.raises(Graph6Error, match="order 258048 exceeds"):
+            parse_graph6("~~???~??")  # the eight-byte form starts above the cap
+        with pytest.raises(Graph6Error, match="order field"):
+            parse_graph6("~~???")
         with pytest.raises(Graph6Error, match="order field"):
             parse_graph6("~?")
         with pytest.raises(Graph6Error, match="header"):
