@@ -10,6 +10,7 @@ is checked here and nowhere else but the sampler's configuration.
 from __future__ import annotations
 
 import math
+import sys
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -462,6 +463,14 @@ def girth(g: Graph) -> int | float:
 # -- cliques ---------------------------------------------------------------
 
 
+def _allow_depth(frames: int) -> None:
+    """Raise Python's recursion limit, never lower it, so that a search
+    nesting ``frames`` deep keeps the default limit's 1,000 frames spare;
+    the clique and colouring searches nest one frame per vertex."""
+    if sys.getrecursionlimit() < frames + 1000:
+        sys.setrecursionlimit(frames + 1000)
+
+
 def clique_number(g: Graph) -> int:
     """Exact clique number via branch and bound with a greedy colour bound."""
     n = g.n
@@ -496,6 +505,7 @@ def clique_number(g: Graph) -> int:
                 expand(sub, size + 1)
             cand &= ~(1 << v)
 
+    _allow_depth(n)
     expand((1 << n) - 1, 0)
     return best
 

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from contextlib import nullcontext
 from fractions import Fraction
 from math import comb, factorial
@@ -25,7 +26,9 @@ from unicolor.colouring import (
     xu_bound_holds,
 )
 from unicolor.graphs import (
+    MAX_ORDER,
     Graph,
+    clique_number,
     complete_graph,
     complete_join,
     cycle_graph,
@@ -415,6 +418,18 @@ class TestUniqueColourability:
         assert not is_uniquely_k_colourable(cycle_graph(5), 3)  # 5 partitions
         assert is_uniquely_k_colourable(Graph(3), 1)  # edgeless
         assert not is_uniquely_k_colourable(path_graph(3), 1)
+
+    def test_searches_reach_the_order_cap(self):
+        # each search nests one frame per vertex, past Python's default
+        # limit of 1,000 frames, and raises the limit itself
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(1000)
+            assert clique_number(complete_graph(MAX_ORDER)) == MAX_ORDER
+            sys.setrecursionlimit(1000)
+            assert verify(path_graph(MAX_ORDER), 2).uniquely_colourable == "yes"
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_k_validation(self):
         with pytest.raises(ColouringError):
