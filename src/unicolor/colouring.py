@@ -33,7 +33,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from .budget import Budget, BudgetExceededError
 from .graphs import (
     Graph,
-    _allow_depth,
     _component,
     clique_number,
     emit_graph6,
@@ -277,7 +276,6 @@ def _enumerate_partitions(
         if memo is not None and count > count0 and len(memo) < _MEMO_MAX:
             memo[key] = (count - count0, spent - spent0)
 
-    _allow_depth(n)
     try:
         rec((1 << n) - 1, 0)
     except _CapReached:

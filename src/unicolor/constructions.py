@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .colouring import Colouring, is_proper
-from .graphs import MAX_ORDER, Graph, OrderLimitError, complete_graph, path_graph, shortest_cycle
+from .graphs import MAX_ORDER, Graph, OrderLimitError, _check_order, complete_graph, path_graph, shortest_cycle
 
 
 class ConstructionError(ValueError):
@@ -69,6 +69,7 @@ def nu(h: ColouredGraph) -> ColouredGraph:
     if n == 0:
         raise ConstructionError("seed graph must have at least one vertex")
     order = (k + 1) * n
+    _check_order(order, "expansion order")  # before the edge list is built
     edges: list[tuple[int, int]] = list(g.edges())
     for u, v in g.edges():
         for p in range(1, k + 1):

@@ -3,8 +3,8 @@
 Vertices are 0..n-1.  Adjacency is a tuple of n Python-int bitmasks; bit u of
 row v is set iff uv is an edge.  All operations treat graphs as immutable
 values; "mutators" return new graphs.  The order cap ``MAX_ORDER`` bounds what
-outside input (graph6 strings, constructions, sampler sizes) can ask for; it
-is checked here and nowhere else but the sampler's configuration.
+outside input (graph6 strings, constructions, sampler sizes) can ask for; only
+``_check_order`` here and the sampler's configuration test it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from .budget import Budget
 MAX_ORDER = 1024
 CANON_MAX_ORDER = 32
 
+# the clique and colouring searches nest one Python frame per vertex
+sys.setrecursionlimit(max(sys.getrecursionlimit(), MAX_ORDER + 1000))
+
 _G6_LONG = ord("~") - 63  # the code that prefixes a multi-byte order
 
 
@@ -30,6 +33,12 @@ class OrderLimitError(ValueError):
     """Raised when an operation would exceed a supported vertex count."""
 
 
+def _check_order(n: int, what: str = "order") -> None:
+    """Raise OrderLimitError if an order of ``n`` vertices is past the cap."""
+    if n > MAX_ORDER:
+        raise OrderLimitError(f"{what} {n} exceeds {MAX_ORDER}")
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -38,8 +47,7 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"order {n} is negative")
-        if n > MAX_ORDER:
-            raise OrderLimitError(f"order {n} exceeds {MAX_ORDER}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -99,8 +107,7 @@ class Graph:
     def with_vertex(self, nbhd_mask: int) -> "Graph":
         """New graph with one extra vertex adjacent to the masked vertices."""
         n = self.n
-        if n + 1 > MAX_ORDER:
-            raise OrderLimitError(f"order {n + 1} exceeds {MAX_ORDER}")
+        _check_order(n + 1)
         if nbhd_mask >> n:
             raise ValueError("neighbourhood mask addresses missing vertices")
         bit = 1 << n
@@ -172,9 +179,7 @@ def cycle_graph(n: int) -> Graph:
 
 def complete_join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union of g1 and g2 plus all edges between the two parts."""
-    n = g1.n + g2.n
-    if n > MAX_ORDER:
-        raise OrderLimitError(f"join order {n} exceeds {MAX_ORDER}")
+    _check_order(g1.n + g2.n, "join order")
     left_full = (1 << g1.n) - 1
     right_full = ((1 << g2.n) - 1) << g1.n
     rows = [r | right_full for r in g1.adj]
@@ -244,6 +249,8 @@ def parse_graph6(text: str) -> Graph:
         n = 0
         for code in codes[start:pos]:
             n = (n << 6) | code
+        if start == 2 and n < 258048:
+            raise Graph6Error(f"graph6 order field '~~' used for order {n} below 258048")
     else:
         n, pos = codes[0], 1
     if n > MAX_ORDER:
@@ -463,14 +470,6 @@ def girth(g: Graph) -> int | float:
 # -- cliques ---------------------------------------------------------------
 
 
-def _allow_depth(frames: int) -> None:
-    """Raise Python's recursion limit, never lower it, so that a search
-    nesting ``frames`` deep keeps the default limit's 1,000 frames spare;
-    the clique and colouring searches nest one frame per vertex."""
-    if sys.getrecursionlimit() < frames + 1000:
-        sys.setrecursionlimit(frames + 1000)
-
-
 def clique_number(g: Graph) -> int:
     """Exact clique number via branch and bound with a greedy colour bound."""
     n = g.n
@@ -505,7 +504,6 @@ def clique_number(g: Graph) -> int:
                 expand(sub, size + 1)
             cand &= ~(1 << v)
 
-    _allow_depth(n)
     expand((1 << n) - 1, 0)
     return best
 

@@ -137,6 +137,18 @@ class TestNu:
         with pytest.raises(OrderLimitError):
             iterate_nu(h, 4)  # 3 -> 12 -> 60 -> 360 -> 2,520 vertices
 
+    def test_order_limit_before_the_edge_list(self, monkeypatch):
+        # nu(K32) would have 33 * 32 = 1,056 vertices; the cap must refuse it
+        # before any edge of the expansion is listed
+        h = _coloured(complete_graph(32), 32)
+
+        def no_edges(self):
+            raise AssertionError("edge list built past the order cap")
+
+        monkeypatch.setattr(Graph, "edges", no_edges)
+        with pytest.raises(OrderLimitError, match="expansion order 1056 exceeds"):
+            nu(h)
+
 
 class TestIteratedNuWitnesses:
     """The paper's family beyond k = 4: nu^2 of each figure-1 graph is a

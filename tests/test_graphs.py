@@ -132,6 +132,8 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="order field"):
             parse_graph6("~~???")
         with pytest.raises(Graph6Error, match="order field"):
+            parse_graph6("~~??????")  # the eight-byte form below 258,048
+        with pytest.raises(Graph6Error, match="order field"):
             parse_graph6("~?")
         with pytest.raises(Graph6Error, match="header"):
             parse_graph6(">>graph6<")
