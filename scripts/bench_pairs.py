@@ -12,12 +12,18 @@ sides alike.  Nothing under ``perfbench/`` is imported: each run is a separate
 process whose last stdout line is its result.
 
 The output file holds, per workload, every run (seed, order, exit code,
-result), and for each end-to-end metric the median and quartiles of both
-sides, the pairs the change won (ties count for neither side), the parent's
-quartile spread, and ``gain``: the change won at least nine tenths of the
-pairs and its median beats the parent's by more than that spread.  It also
+result), each side's total of attempted and of failed operations, and for
+each end-to-end metric the median and quartiles of both sides, the pairs the
+change won (ties count for neither side), the parent's quartile spread,
+``gain``: the change won at least nine tenths of the pairs and its median
+beats the parent's by more than that spread, and ``within_bound``: the
+change's median is no worse than the parent's by more than the metric's
+``bound`` in the parent checkout's ``BENCHMARK.json``, read as a fraction of
+the parent's median (null where the parent declares no bound).  It also
 records the Python version, the CPU count and each checkout's git commit,
-where there is one.  Stdlib only.
+where there is one.  Each ``--traced`` workload then runs once more per side
+with ``--trace 1`` and seed 7; those runs, with their per-layer metrics, are
+kept under ``traced``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import sys
 import time
 
 SECONDS = 25
+TRACE_SEED = 7
 SIDES = ("parent", "change")
 
 
@@ -44,9 +51,9 @@ def _commit(checkout: str) -> str | None:
     return proc.stdout.strip()
 
 
-def _run(checkout: str, workload: str, seed: int) -> dict:
+def _run(checkout: str, workload: str, seed: int, trace: bool = False) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", "0"]
+           "--seconds", str(SECONDS), "--trace", str(int(trace))]
     began = time.monotonic()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     run = {"seed": seed, "exit_code": proc.returncode, "elapsed_s": time.monotonic() - began}
@@ -67,10 +74,28 @@ def _quartiles(values: list[float]) -> list[float]:
     return [q1, q2, q3]
 
 
-def summarise(runs: list[dict[str, dict]]) -> dict:
-    """Per metric: both sides' medians and quartiles, and the pairs won.
+def _bounds(checkout: str) -> dict[str, dict]:
+    """The end-to-end metrics that ``checkout``'s BENCHMARK.json declares, by name."""
+    try:
+        with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
+            declared = json.load(fh).get("end_to_end", [])
+    except FileNotFoundError:
+        return {}
+    return {m["name"]: m for m in declared}
+
+
+def _within_bound(medians: dict[str, float], metric: dict | None) -> bool | None:
+    if metric is None or "bound" not in metric:
+        return None
+    return medians["change"] <= medians["parent"] * (1 + metric["bound"])
+
+
+def summarise(runs: list[dict[str, dict]], bounds: dict[str, dict] | None = None) -> dict:
+    """Per metric: both sides' medians and quartiles, the pairs won, and
+    whether the change stays within the metric's entry in ``bounds``.
 
     Every metric the benchmark reports end to end is better when lower."""
+    bounds = bounds or {}
     out = {}
     for name in runs[0]["parent"]["metrics"]:
         values = {side: [pair[side]["metrics"][name] for pair in runs] for side in SIDES}
@@ -87,6 +112,7 @@ def summarise(runs: list[dict[str, dict]]) -> dict:
             "parent_spread": spread,
             "change_over_parent": medians["change"] / medians["parent"] if medians["parent"] else None,
             "gain": 10 * won >= 9 * len(runs) and medians["parent"] - medians["change"] > spread,
+            "within_bound": _within_bound(medians, bounds.get(name)),
         }
     return out
 
@@ -99,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
                     help="a workload to run; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, required=True)
+    ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
+                    help="after the pairs, one traced run of this workload per side; repeatable")
     ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args(argv)
     if args.pairs < 1:
@@ -121,10 +149,16 @@ def main(argv: list[str] | None = None) -> int:
             walls = ", ".join(f"{side} {pair[side]['metrics'].get('wall_s', float('nan')):.3f} s"
                               for side in SIDES)
             print(f"pair {i + 1}/{args.pairs} (seed {seed}) {workload}: {walls}", file=sys.stderr)
+    traced = {workload: {side: _run(dirs[side], workload, TRACE_SEED, trace=True)
+                         for side in SIDES}
+              for workload in dict.fromkeys(args.traced)}
+    bounds = _bounds(dirs["parent"])
     results = {
         workload: {
             "all_correct": all(pair[side]["correct"] for pair in pairs for side in SIDES),
-            "summary": summarise(pairs),
+            **{total: {side: sum(pair[side][total] for pair in pairs) for side in SIDES}
+               for total in ("attempted", "failed")},
+            "summary": summarise(pairs, bounds),
             "runs": pairs,
         }
         for workload, pairs in runs.items()
@@ -140,11 +174,13 @@ def main(argv: list[str] | None = None) -> int:
         "commits": {side: _commit(path) for side, path in dirs.items()},
         "all_correct": all(r["all_correct"] for r in results.values()),
         "results": results,
+        "traced": traced,
     }
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({workload: {name: s["median"] | {"gain": s["gain"]}
+    print(json.dumps({workload: {name: s["median"] | {"gain": s["gain"],
+                                                      "within_bound": s["within_bound"]}
                                  for name, s in r["summary"].items()}
                       for workload, r in results.items()}))
     return 0

@@ -6,7 +6,8 @@ search), ``sample`` (sparse random k-partite graphs with short-cycle
 surgery).  Results go to stdout as JSON lines; progress and warnings go to
 stderr.  Exit codes: 0 success, 1 a checked graph failed verification,
 2 bad input, 3 a budget ran out before the answer was decided (for
-``check``: before the verdict or the connectivity test).
+``check``: before the verdict or the connectivity test), 141 stdout was
+closed before all output was written.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class InputError(Exception):
@@ -420,7 +422,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone; see "Note on SIGPIPE" in the
+        # documentation of Python's signal module
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (InputError, ValueError) as exc:  # the library's input errors are ValueErrors
         _log(f"error: {exc}")
         return EXIT_INPUT

@@ -21,7 +21,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from .colouring import Colouring, is_proper
-from .graphs import MAX_ORDER, Graph, OrderLimitError, _check_order, complete_graph, path_graph, shortest_cycle
+from .graphs import (
+    MAX_ORDER,
+    Graph,
+    OrderLimitError,
+    _check_order,
+    _shortest_cycle,
+    complete_graph,
+    path_graph,
+)
 
 
 class ConstructionError(ValueError):
@@ -251,12 +259,15 @@ def remove_short_cycles(g: Graph, girth_target: int) -> tuple[Graph, int]:
 
     Repeatedly finds a shortest cycle and removes its lexicographically
     smallest edge; deterministic.  Returns (graph, removed edge count).
+    Removing an edge never shortens the girth, so each search after the
+    first stops at the first root with a cycle as short as the last one.
     """
     if girth_target < 3:
         raise ValueError("girth target must be at least 3")
     removed = 0
+    length = 3
     while True:
-        found = shortest_cycle(g)
+        found = _shortest_cycle(g, length)
         if found is None or found[0] >= girth_target:
             return g, removed
         length, cyc = found

@@ -327,45 +327,87 @@ def _max_vertex_flow(
     """Number of internally vertex-disjoint s-t paths, capped at cap_at.
 
     ``split`` holds the residual rows that _split_rows builds; they are
-    copied, not changed.  Each augmenting path is found by a breadth-first
-    search from out(s) to in(t) that takes a node's unseen successors as
-    ``row & ~seen``; each search spends one budget node.  s and t must not
-    be adjacent.
+    copied, not changed.  s and t must not be adjacent.
+
+    The flow starts warm: the paths s -> x -> t through the common
+    neighbours x are internally disjoint (distinct middle vertices), so
+    they are routed at once, and a pair with at least cap_at common
+    neighbours returns cap_at without copying a row.  Augmenting from any
+    feasible flow reaches the same capped maximum, so the answer is the
+    cold start's.
+
+    Each further augmenting path is found by a breadth-first search from
+    out(s), one layer of nodes (a bitmask) at a time; it spends one budget
+    node, and the warm start spends none.  A node's unseen successors are
+    ``row & ~seen``.  The in(v) of a vertex that carries no flow has the
+    one arc in(v) -> out(v), so those nodes of a layer step to their out
+    nodes together.  The search ends at the first layer that holds a node
+    with an unused arc into in(t), and parents are looked up only along
+    the path found.
     """
-    res = list(split)
-    n = len(res) >> 1
+    n = len(split) >> 1
     src = n + s
+    common = split[src] & split[n + t]
+    flow = common.bit_count()
+    if flow >= cap_at:
+        return cap_at
+    res = list(split)
+    # out(s) -> in(x) -> out(x) -> in(t), toggled as an augmenting path is
+    res[src] ^= common
+    res[t] |= common << n
+    m = common
+    while m:
+        b = m & -m
+        m ^= b
+        x = b.bit_length() - 1
+        res[x] = 1 << src
+        res[n + x] ^= b | 1 << t
+    # out(x) for each neighbour x of t; once out(x) -> in(t) carries flow,
+    # no search reaches out(x) again, as its one residual in-arc leaves in(t)
+    into_t = split[n + t] << n
+    # vertices that carry no flow
+    free = ((1 << n) - 1) ^ common
     snk = 1 << t
-    parent = [0] * (2 * n)
-    flow = 0
     while flow < cap_at:
         if budget is not None:
             budget.spend()
-        seen = 1 << src
-        frontier = [src]
-        while frontier and not seen & snk:
-            nxt = []
-            for a in frontier:
+        seen = frontier = 1 << src
+        layers = []  # per layer: (node, the nodes it reached first)
+        while frontier:
+            hit = frontier & into_t
+            if hit:
+                a = (hit & -hit).bit_length() - 1
+                layers.append([(a, snk)])
+                break
+            bulk = frontier & free
+            nxt = (bulk << n) & ~seen
+            seen |= nxt
+            layer = [(-1, nxt)]  # -1: out(v) was reached from in(v)
+            frontier ^= bulk
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                a = b.bit_length() - 1
                 new = res[a] & ~seen
-                if not new:
-                    continue
-                seen |= new
-                while new:
-                    b = new & -new
-                    new ^= b
-                    v = b.bit_length() - 1
-                    parent[v] = a
-                    nxt.append(v)
-                if seen & snk:
-                    break
+                if new:
+                    seen |= new
+                    nxt |= new
+                    layer.append((a, new))
+            layers.append(layer)
             frontier = nxt
-        if not seen & snk:
+        else:
             break
         b = t
-        while b != src:
-            a = parent[b]
+        for layer in reversed(layers):
+            for a, new in layer:
+                if new >> b & 1:
+                    break
+            if a < 0:
+                a = b - n
             res[a] ^= 1 << b
             res[b] ^= 1 << a
+            if abs(a - b) == n:  # in(v) -> out(v) used, or its flow cancelled
+                free ^= 1 << min(a, b)
             b = a
         flow += 1
     return flow
@@ -380,9 +422,11 @@ def vertex_connectivity_at_least(g: Graph, t: int, budget: Budget | None = None)
     vertex-disjoint u-w paths (Menger).  So capped flows from each of
     u = 0..t-1 to its non-neighbours decide the question: at most t*(n-1)
     flows, on residual rows built once.  Minimum degree below t (kappa <=
-    delta) and t = 1 (connectivity) are answered without flows.  Each
-    augmenting-path search spends one node of ``budget``; BudgetExceededError
-    propagates.
+    delta) and t = 1 (connectivity) are answered without flows.  Each flow
+    starts from the paths through the pair's common neighbours, which are
+    internally disjoint, so a pair with t of them is decided without a
+    search and the answer is unchanged.  Each augmenting-path search spends
+    one node of ``budget``; BudgetExceededError propagates.
     """
     if t <= 0:
         return True
@@ -416,11 +460,20 @@ def shortest_cycle(g: Graph) -> tuple[int, list[int]] | None:
     Deterministic: BFS from each root in index order, ascending neighbour
     order, keeping the first strict improvement.
     """
+    return _shortest_cycle(g, 3)
+
+
+def _shortest_cycle(g: Graph, floor: int) -> tuple[int, list[int]] | None:
+    """shortest_cycle(g), given that g has no cycle shorter than ``floor``.
+
+    The search stops at the first root that finds a cycle of length
+    ``floor``, since no later root can improve on it strictly.
+    """
     n, adj = g.n, g.adj
     best_len = -1
     best: list[int] | None = None
     for root in range(n):
-        if best_len == 3:
+        if best_len == floor:
             break
         dist = [-1] * n
         par = [-1] * n

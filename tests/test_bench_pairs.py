@@ -13,15 +13,23 @@ import sys
 
 workload = sys.argv[sys.argv.index("--workload") + 1]
 print("round 1: a progress line")
-metrics = {"wall_s": WALLS[workload], "setup_s": 0.5, "peak_rss_mib": 20.0}
-print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+metrics = {"wall_s": WALLS[workload], "setup_s": 0.5, "peak_rss_mib": RSS}
+if sys.argv[sys.argv.index("--trace") + 1] == "1":
+    metrics["graphs.maxflow_calls"] = 1113
+print(json.dumps({"correct": True, "attempted": 3, "failed": FAILED,
                   "metrics": {k: {"value": v, "unit": "?"} for k, v in metrics.items()}}))
 """
 
 
-def _checkout(root: Path, walls: dict[str, float]) -> Path:
+def _checkout(root: Path, walls: dict[str, float], rss: float = 20.0, failed: int = 0,
+              bounds: dict[str, float] | None = None) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(f"WALLS = {walls!r}\n" + _FAKE_RUN)
+    (root / "perfbench" / "run.py").write_text(
+        f"WALLS = {walls!r}\nRSS = {rss!r}\nFAILED = {failed!r}\n" + _FAKE_RUN)
+    if bounds is not None:
+        declared = [{"name": name, "better": "lower", "bound": bound}
+                    for name, bound in bounds.items()]
+        (root / "BENCHMARK.json").write_text(json.dumps({"end_to_end": declared}))
     return root
 
 
@@ -51,3 +59,33 @@ class TestSeveralWorkloads:
         printed = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert printed["census-tf10"]["wall_s"]["gain"] is True
         assert set(printed) == {"census-tf10", "partitions"}
+
+
+class TestAcceptanceRule:
+    def test_bounds_from_the_parent_and_operation_totals(self, tmp_path):
+        bounds = {"wall_s": 0.25, "peak_rss_mib": 0.1}
+        parent = _checkout(tmp_path / "parent", {"check-nu": 1.0, "partitions": 1.0},
+                           bounds=bounds)
+        # the change's own bounds are ignored: only the parent's count
+        change = _checkout(tmp_path / "change", {"check-nu": 1.2, "partitions": 1.3},
+                           rss=23.0, failed=1, bounds={"wall_s": 1.0, "peak_rss_mib": 1.0})
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main([str(parent), str(change), "--workload", "check-nu",
+                                 "--workload", "partitions", "--pairs", "2",
+                                 "--seed-base", "20", "--traced", "check-nu",
+                                 "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        results = report["results"]
+        check, parts = results["check-nu"], results["partitions"]
+        assert check["summary"]["wall_s"]["within_bound"] is True  # 1.2 <= 1.25
+        assert parts["summary"]["wall_s"]["within_bound"] is False  # 1.3 > 1.25
+        assert check["summary"]["peak_rss_mib"]["within_bound"] is False  # 23 > 22
+        assert check["summary"]["setup_s"]["within_bound"] is None  # no bound declared
+        for result in (check, parts):
+            assert result["attempted"] == {"parent": 6, "change": 6}
+            assert result["failed"] == {"parent": 0, "change": 2}
+        assert set(report["traced"]) == {"check-nu"}
+        for side in ("parent", "change"):
+            run = report["traced"]["check-nu"][side]
+            assert run["seed"] == 7 and run["metrics"]["graphs.maxflow_calls"] == 1113
+        assert "graphs.maxflow_calls" not in check["summary"]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unicolor
 from unicolor.budget import Budget
 from unicolor.census import checkpoint_loads
 from unicolor.cli import main
@@ -381,3 +386,21 @@ class TestResumeTokens:
             main(["census", "--resume", "--checkpoint", str(cp)])
         assert cp.read_text() == before
         assert checkpoint_loads(before)["pending"]
+
+
+class TestClosedStdout:
+    def test_reader_gone_exits_141_without_a_traceback(self):
+        # the sample is one JSON line of about 90 KB, more than a 64 KiB pipe
+        # holds, so the command is still writing when the reader closes
+        src = str(Path(unicolor.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "unicolor.cli", "sample", "--k", "5", "--n", "204",
+             "--eps", "1/20"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err and "BrokenPipeError" not in err

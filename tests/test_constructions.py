@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import random_graph
 from unicolor.budget import Budget
 from unicolor.colouring import (
     Colouring,
@@ -41,6 +42,7 @@ from unicolor.graphs import (
     is_triangle_free,
     parse_graph6,
     path_graph,
+    shortest_cycle,
 )
 
 
@@ -314,6 +316,31 @@ class TestRemoveShortCycles:
     def test_validation(self):
         with pytest.raises(ValueError):
             remove_short_cycles(complete_graph(3), 2)
+
+    @staticmethod
+    def _reference(g, target):
+        """The surgery with a whole shortest_cycle search per removal."""
+        removed = 0
+        while True:
+            found = shortest_cycle(g)
+            if found is None or found[0] >= target:
+                return g, removed
+            length, cyc = found
+            u, v = min((min(a, b), max(a, b)) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+            g = Graph(g.n, [e for e in g.edges() if e != (u, v)])
+            removed += 1
+
+    def test_matches_a_whole_search_per_removal(self):
+        rng = random.Random(903)
+        for _ in range(60):
+            g = random_graph(rng, rng.randrange(4, 25), rng.uniform(0.1, 0.6))
+            target = rng.randrange(3, 8)
+            assert remove_short_cycles(g, target) == self._reference(g, target)
+        cfg = SamplerConfig(k=4, n=30, epsilon=Fraction(1, 20), girth_target=6, seed=3)
+        g = bollobas_sauer_sample(cfg).graph
+        cleaned, removed = remove_short_cycles(g, 6)
+        assert removed > 20 and girth(cleaned) >= 6
+        assert (cleaned, removed) == self._reference(g, 6)
 
 
 class TestFigure1Catalog:

@@ -12,6 +12,7 @@ from conftest import (
     is_automorphism,
     random_graph,
 )
+import unicolor.graphs as graphs_module
 from unicolor.budget import Budget, BudgetExceededError
 from unicolor.constructions import builtin_catalog, nu
 from unicolor.graphs import (
@@ -219,6 +220,62 @@ class TestConnectivity:
         assert budget.nodes_left < 10 ** 6
         # complete graphs are decided without a search
         assert vertex_connectivity_at_least(complete_graph(8), 7, Budget(max_nodes=0))
+
+
+class TestWarmStartFlow:
+    """The capped flow starts from the paths through common neighbours."""
+
+    @staticmethod
+    def _graphs():
+        rng = random.Random(7013)
+        for i in range(10):
+            g = random_graph(rng, rng.randrange(6, 31), rng.uniform(0.2, 0.7))
+            if i % 2:  # a few crossing edges, so that kappa falls below delta
+                side = {v: rng.random() < 0.5 for v in range(g.n)}
+                g = Graph(g.n, [(u, v) for u, v in g.edges()
+                                if side[u] == side[v] or rng.random() < 0.1])
+            yield g
+
+    def test_matches_networkx_local_connectivity(self):
+        nx = pytest.importorskip("networkx")
+        rows = {"below": 0, "equal": 0, "above": 0}
+        for g in self._graphs():
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            split = graphs_module._split_rows(g)
+            before = list(split)
+            for s in range(g.n):
+                for t in range(s + 1, g.n):
+                    if g.has_edge(s, t):
+                        continue
+                    kappa = nx.node_connectivity(h, s, t)
+                    common = (g.adj[s] & g.adj[t]).bit_count()
+                    for cap in range(1, g.min_degree() + 2):
+                        rows["below" if common < cap else "equal" if common == cap else "above"] += 1
+                        assert graphs_module._max_vertex_flow(split, s, t, cap) == \
+                            min(cap, kappa), (emit_graph6(g), s, t, cap)
+            assert split == before
+        assert min(rows.values()) > 500, rows
+
+    def test_enough_common_neighbours_spend_no_node(self):
+        g = complete_join(Graph(2), Graph(5))  # 0 and 1 share five neighbours
+        split = graphs_module._split_rows(g)
+        for cap in range(1, 6):
+            assert graphs_module._max_vertex_flow(split, 0, 1, cap, Budget(max_nodes=0)) == cap
+        with pytest.raises(BudgetExceededError):
+            graphs_module._max_vertex_flow(split, 0, 1, 6, Budget(max_nodes=0))
+        # the sixth path does not exist: one search, which fails
+        budget = Budget(max_nodes=1)
+        assert graphs_module._max_vertex_flow(split, 0, 1, 6, budget) == 5
+        assert budget.nodes_left == 0
+
+    def test_nodes_spent_on_nu_figure1a(self):
+        # one node per augmenting-path search past the warm start
+        g = nu(builtin_catalog()["figure1a"]).graph
+        budget = Budget(max_nodes=10 ** 6)
+        assert vertex_connectivity_at_least(g, 3, budget)
+        assert 10 ** 6 - budget.nodes_left == 36
 
 
 class TestCycles:
