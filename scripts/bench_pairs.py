@@ -23,7 +23,12 @@ the parent's median (null where the parent declares no bound).  It also
 records the Python version, the CPU count and each checkout's git commit,
 where there is one.  Each ``--traced`` workload then runs once more per side
 with ``--trace 1`` and seed 7; those runs, with their per-layer metrics, are
-kept under ``traced``.  Stdlib only.
+kept under ``traced``.
+
+A run that prints no result line, or a last line that is not a result, ends
+the series: the output file then holds the pairs completed before it and,
+under ``failed_run``, its side, workload, seed, exit code and the tail of its
+stderr, and the script exits 1.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ import time
 SECONDS = 25
 TRACE_SEED = 7
 SIDES = ("parent", "change")
+STDERR_TAIL = 20  # lines of a failed run's stderr kept in the report
 
 
 def _commit(checkout: str) -> str | None:
@@ -51,19 +57,36 @@ def _commit(checkout: str) -> str | None:
     return proc.stdout.strip()
 
 
-def _run(checkout: str, workload: str, seed: int, trace: bool = False) -> dict:
+class RunFailed(Exception):
+    """A run that printed no usable result line; ``record`` says which."""
+
+    def __init__(self, record: dict):
+        super().__init__(record)
+        self.record = record
+
+
+def _run(checkout: str, side: str, workload: str, seed: int, trace: bool = False) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(SECONDS), "--trace", str(int(trace))]
     began = time.monotonic()
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     run = {"seed": seed, "exit_code": proc.returncode, "elapsed_s": time.monotonic() - began}
     lines = proc.stdout.splitlines()
+    reason = None
     if proc.returncode == 2 or not lines:  # run.py could not run: no result
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-    result = json.loads(lines[-1])
-    run.update(correct=result["correct"], attempted=result["attempted"],
-               failed=result["failed"],
-               metrics={name: m["value"] for name, m in result["metrics"].items()})
+        reason = "no result line"
+    else:
+        try:
+            result = json.loads(lines[-1])
+            run.update(correct=result["correct"], attempted=result["attempted"],
+                       failed=result["failed"],
+                       metrics={name: m["value"] for name, m in result["metrics"].items()})
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            reason = f"malformed result line: {exc!r}"
+    if reason is not None:
+        raise RunFailed({"side": side, "workload": workload, "seed": seed, "trace": trace,
+                         "exit_code": proc.returncode, "reason": reason,
+                         "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]})
     return run
 
 
@@ -137,28 +160,38 @@ def main(argv: list[str] | None = None) -> int:
             ap.error(f"{side} checkout {path} has no perfbench/run.py")
     workloads = list(dict.fromkeys(args.workload))
     runs: dict[str, list[dict[str, dict]]] = {w: [] for w in workloads}
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        for workload in workloads:
-            pair = {}
-            for position, side in enumerate(order):
-                pair[side] = _run(dirs[side], workload, seed)
-                pair[side]["ran"] = "first" if position == 0 else "second"
-            runs[workload].append(pair)
-            walls = ", ".join(f"{side} {pair[side]['metrics'].get('wall_s', float('nan')):.3f} s"
-                              for side in SIDES)
-            print(f"pair {i + 1}/{args.pairs} (seed {seed}) {workload}: {walls}", file=sys.stderr)
-    traced = {workload: {side: _run(dirs[side], workload, TRACE_SEED, trace=True)
-                         for side in SIDES}
-              for workload in dict.fromkeys(args.traced)}
+    traced: dict[str, dict[str, dict]] = {}
+    failed_run = None
+    try:
+        for i in range(args.pairs):
+            seed = args.seed_base + i
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            for workload in workloads:
+                pair = {}
+                for position, side in enumerate(order):
+                    pair[side] = _run(dirs[side], side, workload, seed)
+                    pair[side]["ran"] = "first" if position == 0 else "second"
+                runs[workload].append(pair)
+                walls = ", ".join(
+                    f"{side} {pair[side]['metrics'].get('wall_s', float('nan')):.3f} s"
+                    for side in SIDES)
+                print(f"pair {i + 1}/{args.pairs} (seed {seed}) {workload}: {walls}",
+                      file=sys.stderr)
+        for workload in dict.fromkeys(args.traced):
+            traced[workload] = {side: _run(dirs[side], side, workload, TRACE_SEED, trace=True)
+                                for side in SIDES}
+    except RunFailed as exc:
+        # keep what finished: the report below holds the completed pairs
+        failed_run = exc.record
+        print(f"run failed, report keeps the completed pairs: {json.dumps(failed_run)}",
+              file=sys.stderr)
     bounds = _bounds(dirs["parent"])
     results = {
         workload: {
             "all_correct": all(pair[side]["correct"] for pair in pairs for side in SIDES),
             **{total: {side: sum(pair[side][total] for pair in pairs) for side in SIDES}
                for total in ("attempted", "failed")},
-            "summary": summarise(pairs, bounds),
+            "summary": summarise(pairs, bounds) if pairs else {},
             "runs": pairs,
         }
         for workload, pairs in runs.items()
@@ -173,6 +206,7 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "commits": {side: _commit(path) for side, path in dirs.items()},
         "all_correct": all(r["all_correct"] for r in results.values()),
+        "failed_run": failed_run,
         "results": results,
         "traced": traced,
     }
@@ -183,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
                                                       "within_bound": s["within_bound"]}
                                  for name, s in r["summary"].items()}
                       for workload, r in results.items()}))
-    return 0
+    return 0 if failed_run is None else 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ parent is kept iff deleting that canonically-last vertex recovers the
 parent.  No global "seen" set is needed, so runs can be split at
 checkpoints or across workers and merged without coordination.
 
+When the canonically last vertex w is not the new vertex r, the generators
+of the child's automorphism group, which its labelling collects, are asked
+first whether w lies in r's orbit.  If it does, child - w is isomorphic to
+child - r, the parent, and the child is kept without a second labelling.
+Only when w and r lie in different orbits is child - w labelled and compared
+with the parent: pseudo-similar vertices leave isomorphic graphs without
+being orbit mates (McKay and Piperno, J. Symb. Comput. 60, 2014).
+
 Only one neighbourhood mask per orbit of the parent's automorphism group is
 tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
 1998).  Masks in one orbit give isomorphic children, which get the same
@@ -266,6 +274,21 @@ def _mask_maps(gens: list[list[int]]) -> list[tuple[list[int], list[int]]]:
     return maps
 
 
+def _in_orbit(gens: list[list[int]], v: int, w: int) -> bool:
+    """Whether the permutations ``gens`` generate one that maps v to w."""
+    seen = 1 << v
+    todo = [v]
+    for x in todo:
+        for p in gens:
+            y = p[x]
+            if y == w:
+                return True
+            if not seen >> y & 1:
+                seen |= 1 << y
+                todo.append(y)
+    return False
+
+
 def _extend_parent(
     task: CensusTask,
     parent: Graph,
@@ -280,8 +303,9 @@ def _extend_parent(
     r+1; when r+1 == task.n the full-order structural filters (connectivity,
     exact degree floor, edge window) apply, otherwise hereditary constraints
     plus sound lookahead bounds.  Each child below full order comes with
-    generators of its own group, in its canonical labels.  A full-order child
-    comes with [], or, when ``decide`` is given, with the decision
+    generators of its own group, in its canonical labels; the generators
+    of every child's group decide whether its canonically last vertex is an
+    orbit mate of the new one.  A full-order child comes with [], or, when ``decide`` is given, with the decision
     ``decide(child, task, stats)`` made on it before it was labelled, carried
     to its canonical labels; a child whose decision is None is dropped
     unlabelled.
@@ -355,7 +379,7 @@ def _extend_parent(
             decision = decide(child, task, stats)
             if decision is None:
                 continue
-        autos: list[list[int]] | None = [] if r1 < n else None
+        autos: list[list[int]] = []
         labelled = _canonical_if_last(r1, child.adj, r, autos)
         if labelled is None:
             _bump(stats, "rejected_not_canonical")
@@ -366,7 +390,9 @@ def _extend_parent(
             continue
         seen_here.add(canon)
         w = placement[-1]
-        if w != r:
+        if w != r and not _in_orbit(autos, r, w):
+            # w is no orbit mate of r, yet child - w may still be isomorphic
+            # to child - r, the parent, when w and r are pseudo-similar
             reduced = child.without_vertex(w)
             if (
                 reduced.edge_count() != e
@@ -377,14 +403,14 @@ def _extend_parent(
                 continue
         _bump(stats, f"classes_order_{r1}")
         extra: list[list[int]] | _Decision = []
-        if autos:
+        if decision is not None:
+            colours = decision.colouring.assignment
+            extra = decision._replace(colouring=Colouring([colours[v] for v in placement]))
+        elif r1 < n and autos:
             label = [0] * r1
             for i, v in enumerate(placement):
                 label[v] = i
             extra = [[label[p[v]] for v in placement] for p in autos]
-        elif decision is not None:
-            colours = decision.colouring.assignment
-            extra = decision._replace(colouring=Colouring([colours[v] for v in placement]))
         accepted.append((child.permuted(placement), canon, extra))
     return accepted
 

@@ -13,6 +13,7 @@ closed before all output was written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -418,9 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser that main uses, built once per process on first use;
+    parsing does not change it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -617,6 +617,7 @@ def _canonical_placement(
     rows: Sequence[int],
     cols: Sequence[int] | None = None,
     autos: list[list[int]] | None = None,
+    words: list[int] | None = None,
 ) -> list[int]:
     """Vertex placement maximising the adjacency bitstring among labellings
     that list refinement cells in ascending colour order.
@@ -626,6 +627,18 @@ def _canonical_placement(
     pruning most of the n! permutations.  Twin vertices (identical rows) are
     interchangeable and only explored once per search node.  ``cols`` are
     the graph's refined colours when the caller has them already.
+
+    Labellings are compared by their words: the word of the vertex placed at
+    position j has bit n-1-i set iff it is adjacent to the vertex placed at
+    position i < j, and the search keeps the first leaf whose sequence of
+    words is greatest.  When ``words`` is a list, that sequence is appended
+    to it.  A position is forced when one vertex of its cell is left for
+    it: every position of a one-vertex cell, and the last position of any
+    other cell.  A run of forced positions is placed in a loop inside one
+    search frame, without branching: each word is compared with the best
+    leaf's word at its position, and the run is undone when the frame
+    returns.  A single candidate has no twin to skip, so this is what a
+    frame per position would do.  A discrete refinement is one such run.
 
     When ``autos`` is a list, automorphisms the search meets are appended to
     it as permutation lists (vertex x maps to p[x]): for each leaf equal to
@@ -645,18 +658,25 @@ def _canonical_placement(
         return []
     if cols is None:
         cols = _refine_colours(n, rows)
-    by_colour = sorted(range(n), key=lambda v: (cols[v], v))
+    # stable, so each cell lists its vertices in ascending order
+    by_colour = sorted(range(n), key=cols.__getitem__)
     pos_cells: list[list[int]] = []
+    cell_mask: list[int] = []  # per position, its cell as a bitmask
     i = 0
     while i < n:
-        j = i
+        j = i + 1
         c = cols[by_colour[i]]
-        cell = []
+        mask = 1 << by_colour[i]
         while j < n and cols[by_colour[j]] == c:
-            cell.append(by_colour[j])
+            mask |= 1 << by_colour[j]
             j += 1
-        pos_cells.extend([cell] * (j - i))
+        pos_cells += [by_colour[i:j]] * (j - i)
+        cell_mask += [mask] * (j - i)
         i = j
+    # per position, the end of the run of forced positions that starts there
+    run_end = [n] * (n + 1)
+    for i in range(n - 2, -1, -1):
+        run_end[i] = run_end[i + 1] if cell_mask[i + 1] != cell_mask[i] else i
 
     best: list[int] | None = None
     best_place: list[int] | None = None
@@ -664,75 +684,104 @@ def _canonical_placement(
     # per-vertex adjacency word against the placed prefix: bit n-1-i is set
     # when the vertex is adjacent to the vertex placed at position i
     w = [0] * n
-    nbrs = [[x for x in range(n) if rows[v] >> x & 1] for v in range(n)]
-    place: list[int] = []
-    cur: list[int] = []
-    used = 0
+    nbrs = []
+    for r in rows:
+        nb = []
+        while r:
+            b = r & -r
+            nb.append(b.bit_length() - 1)
+            r ^= b
+        nbrs.append(nb)
+    # the vertex and word placed at each position of the current path
+    place = [0] * n
+    cur = [0] * n
+    used = 0  # the vertices placed at positions that are not forced
     swapped = 0  # the twins whose transposition autos holds
 
     def rec(pos: int, strictly_greater: bool) -> None:
         nonlocal best, best_place, gen, used, swapped
-        if pos == n:
-            if best is None or strictly_greater:
-                best = cur.copy()
-                best_place = place.copy()
-                gen += 1
-            elif autos is not None:
-                perm = [0] * n
-                for x, y in zip(best_place, place):
-                    perm[x] = y
-                autos.append(perm)
-            return
-        cell = pos_cells[pos]
-        cands = [v for v in cell if not (used >> v) & 1]
-        if len(cands) > 1:
-            cands.sort(key=lambda v: (-w[v], v))
-        seen_f: dict[int, int] | None = None  # row -> the twin explored with it
-        seen_t: dict[int, int] | None = None  # closed row -> likewise
-        for v in cands:
+        start = pos
+        end = run_end[pos]
+        while pos < end:
+            v = (cell_mask[pos] & ~used).bit_length() - 1
             wv = w[v]
             if not strictly_greater and best is not None:
                 b = best[pos]
                 if wv < b:
                     break
-                child_greater = wv > b
-            else:
-                child_greater = strictly_greater
-            kf = rows[v]
-            kt = kf | (1 << v)
-            if seen_f is not None:
-                u = seen_f.get(kf, seen_t.get(kt))
-                if u is not None:
-                    if autos is not None and not swapped >> v & 1:
-                        swapped |= 1 << v
-                        perm = list(range(n))
-                        perm[u], perm[v] = v, u
-                        autos.append(perm)
-                    continue
-            g0 = gen
-            place.append(v)
-            cur.append(wv)
-            used |= 1 << v
+                strictly_greater = wv > b
+            place[pos] = v
+            cur[pos] = wv
             bit = 1 << (n - 1 - pos)
             for x in nbrs[v]:
                 w[x] |= bit
-            rec(pos + 1, child_greater)
-            for x in nbrs[v]:
+            pos += 1
+        else:
+            if pos == n:
+                if best is None or strictly_greater:
+                    best = cur.copy()
+                    best_place = place.copy()
+                    gen += 1
+                elif autos is not None:
+                    perm = [0] * n
+                    for x, y in zip(best_place, place):
+                        perm[x] = y
+                    autos.append(perm)
+            else:
+                cands = [v for v in pos_cells[pos] if not (used >> v) & 1]
+                if len(cands) > 1:
+                    cands.sort(key=w.__getitem__, reverse=True)
+                seen_f: dict[int, int] | None = None  # row -> the twin explored with it
+                seen_t: dict[int, int] | None = None  # closed row -> likewise
+                bit = 1 << (n - 1 - pos)
+                for v in cands:
+                    wv = w[v]
+                    if not strictly_greater and best is not None:
+                        b = best[pos]
+                        if wv < b:
+                            break
+                        child_greater = wv > b
+                    else:
+                        child_greater = strictly_greater
+                    kf = rows[v]
+                    kt = kf | (1 << v)
+                    if seen_f is not None:
+                        u = seen_f.get(kf, seen_t.get(kt))
+                        if u is not None:
+                            if autos is not None and not swapped >> v & 1:
+                                swapped |= 1 << v
+                                perm = list(range(n))
+                                perm[u], perm[v] = v, u
+                                autos.append(perm)
+                            continue
+                    g0 = gen
+                    place[pos] = v
+                    cur[pos] = wv
+                    used |= 1 << v
+                    for x in nbrs[v]:
+                        w[x] |= bit
+                    rec(pos + 1, child_greater)
+                    for x in nbrs[v]:
+                        w[x] ^= bit
+                    used ^= 1 << v
+                    if gen != g0 and strictly_greater:
+                        # a descendant replaced best; our prefix now equals its prefix
+                        strictly_greater = False
+                    if seen_f is None:
+                        seen_f = {}
+                        seen_t = {}
+                    seen_f[kf] = v
+                    seen_t[kt] = v
+        # undo the run placed in this frame
+        for p in range(start, pos):
+            bit = 1 << (n - 1 - p)
+            for x in nbrs[place[p]]:
                 w[x] ^= bit
-            used ^= 1 << v
-            place.pop()
-            cur.pop()
-            if gen != g0 and strictly_greater:
-                # a descendant replaced best; our prefix now equals its prefix
-                strictly_greater = False
-            if seen_f is None:
-                seen_f = {}
-                seen_t = {}
-            seen_f[kf] = v
-            seen_t[kt] = v
 
     rec(0, False)
-    assert best_place is not None
+    assert best is not None and best_place is not None
+    if words is not None:
+        words.extend(best)
     return best_place
 
 
@@ -744,16 +793,24 @@ def _canonical(
 ) -> tuple[bytes, list[int]]:
     """Canonical graph6 bytes plus the placement that produced them;
     ``autos`` collects generators of the automorphism group, as in
-    _canonical_placement."""
-    placement = _canonical_placement(n, rows, cols, autos)
-    words = []
-    for j in range(n):
-        rv = rows[placement[j]]
-        x = 0
-        for i in range(j):
-            x |= ((rv >> placement[i]) & 1) << i
-        words.append(x)
-    return _pack_graph6(n, words).encode("ascii"), placement
+    _canonical_placement.
+
+    The bytes are read off the winning leaf's words: column j of the
+    graph6 upper triangle, the adjacencies of position j to positions
+    0..j-1 with position 0 first, is word j shifted right by n-j.  The
+    columns 1..n-1 are concatenated, padded to a multiple of 6 bits and
+    emitted as 6-bit digits.
+    """
+    words: list[int] = []
+    placement = _canonical_placement(n, rows, cols, autos, words)
+    acc = 0
+    for j in range(1, n):
+        acc = (acc << j) | (words[j] >> (n - j))
+    nbits = n * (n - 1) // 2
+    pad = -nbits % 6
+    acc <<= pad
+    digits = bytes(63 + (acc >> s & 63) for s in range(nbits + pad - 6, -1, -6))
+    return _g6_order_prefix(n).encode("ascii") + digits, placement
 
 
 def _canonical_if_last(

@@ -157,3 +157,42 @@ def is_automorphism(g: Graph, perm: list[int]) -> bool:
     return sorted(perm) == list(range(n)) and all(
         g.has_edge(perm[u], perm[v]) == g.has_edge(u, v)
         for u in range(n) for v in range(u + 1, n))
+
+
+def _brute_cells(g: Graph) -> list[list[int]]:
+    """The cells of iterated neighbourhood refinement in ascending colour
+    order: colours rank degrees first, then each round ranks the pairs
+    (colour, sorted colours of the neighbours) until no cell splits."""
+    n = g.n
+    cols = [g.degree(v) for v in range(n)]
+    while True:
+        sigs = [(cols[v], sorted(cols[u] for u in range(n) if g.has_edge(u, v)))
+                for v in range(n)]
+        order = sorted({(c, tuple(nb)) for c, nb in sigs})
+        new = [order.index((c, tuple(nb))) for c, nb in sigs]
+        if len(set(new)) == len(set(cols)):
+            break
+        cols = new
+    return [[v for v in range(n) if new[v] == c] for c in sorted(set(new))]
+
+
+def brute_canonical_graph6(g: Graph) -> bytes:
+    """graph6 bytes of the labelling with the greatest word sequence among
+    all labellings that list the refined cells in ascending colour order.
+
+    The word of the vertex at position j has bit n-1-i set iff it is
+    adjacent to the vertex at position i < j; word sequences compare
+    lexicographically.  Tries every such labelling; for n <= 7 only.
+    """
+    n = g.n
+    best_words = best = None
+    for parts in itertools.product(*(itertools.permutations(c) for c in _brute_cells(g))):
+        order = [v for part in parts for v in part]
+        words = [sum(1 << (n - 1 - i) for i in range(j) if g.has_edge(order[i], order[j]))
+                 for j in range(n)]
+        if best_words is None or words > best_words:
+            best_words, best = words, order
+    bits = [int(g.has_edge(best[i], best[j])) for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    digits = [63 + int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)]
+    return bytes([63 + n] + digits)

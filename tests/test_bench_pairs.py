@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _SPEC = importlib.util.spec_from_file_location(
     "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
@@ -89,3 +91,53 @@ class TestAcceptanceRule:
             run = report["traced"]["check-nu"][side]
             assert run["seed"] == 7 and run["metrics"]["graphs.maxflow_calls"] == 1113
         assert "graphs.maxflow_calls" not in check["summary"]
+
+
+_FAILING_RUN = """\
+import sys
+
+if sys.argv[sys.argv.index("--seed") + 1] == "31":
+    print("worker crashed on seed 31", file=sys.stderr)
+    if MALFORMED:
+        print("round 1: a progress line, then no result")
+        sys.exit(1)
+    sys.exit(2)
+"""
+
+
+class TestFailedRun:
+    @pytest.mark.parametrize("malformed", [False, True])
+    def test_completed_pairs_are_kept(self, tmp_path, capsys, malformed):
+        parent = _checkout(tmp_path / "parent", {"census-tf10": 2.0, "partitions": 1.0})
+        change = _checkout(tmp_path / "change", {"census-tf10": 1.0, "partitions": 1.0})
+        run_py = change / "perfbench" / "run.py"
+        text = run_py.read_text()
+        header, _, body = text.partition("import json\n")
+        run_py.write_text(f"MALFORMED = {malformed!r}\n" + header + _FAILING_RUN
+                          + "import json\n" + body)
+        out = tmp_path / "bench.json"
+        code = bench_pairs.main([str(parent), str(change), "--workload", "census-tf10",
+                                 "--workload", "partitions", "--pairs", "4",
+                                 "--seed-base", "30", "--traced", "census-tf10",
+                                 "--out", str(out)])
+        assert code == 1
+        report = json.loads(out.read_text())
+        # pair 2 (seed 31) runs the change first, so it fails before any run of that pair
+        census, parts = report["results"]["census-tf10"], report["results"]["partitions"]
+        assert [pair["change"]["seed"] for pair in census["runs"]] == [30]
+        assert [pair["change"]["seed"] for pair in parts["runs"]] == [30]
+        assert census["summary"]["wall_s"]["median"] == {"parent": 2.0, "change": 1.0}
+        assert report["traced"] == {}
+        failed = report["failed_run"]
+        assert (failed["side"], failed["workload"], failed["seed"]) == ("change", "census-tf10", 31)
+        assert failed["exit_code"] == (1 if malformed else 2)
+        assert failed["stderr_tail"] == ["worker crashed on seed 31"]
+        assert "failed" in capsys.readouterr().err
+
+    def test_a_complete_series_has_no_failed_run(self, tmp_path):
+        parent = _checkout(tmp_path / "parent", {"check-nu": 1.0})
+        change = _checkout(tmp_path / "change", {"check-nu": 1.0})
+        out = tmp_path / "bench.json"
+        assert bench_pairs.main([str(parent), str(change), "--workload", "check-nu",
+                                 "--pairs", "1", "--seed-base", "5", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["failed_run"] is None

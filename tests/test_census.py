@@ -549,3 +549,74 @@ class TestOrbitPruning:
         par = find_unique_k_witnesses(task, threads=2)
         assert par.witnesses == seq.witnesses
         assert par.stats == seq.stats
+
+
+def _labellings(monkeypatch, task: CensusTask) -> dict[str, int]:
+    """Run generate(task) and count its labellings: all of them, and the
+    reduced ones that _extend_parent asks for itself."""
+    import unicolor.census as census_module
+    import unicolor.graphs as graphs_module
+
+    calls = {"all": 0, "reduced": 0}
+    canonical = graphs_module._canonical
+
+    def counted(*args, **kwargs):
+        calls["all"] += 1
+        return canonical(*args, **kwargs)
+
+    def reduced(*args, **kwargs):
+        calls["reduced"] += 1
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(graphs_module, "_canonical", counted)
+    monkeypatch.setattr(census_module, "_canonical", reduced)
+    generate(task)
+    return calls
+
+
+class TestOrbitShortcut:
+    # stats pinned before the orbit test replaced most reduced labellings
+    @pytest.mark.parametrize("kw, stats", [
+        (dict(n=1), {"visited": 1}),
+        (dict(n=2), {"classes_order_2": 2, "extensions_tried": 2, "parents_processed": 1,
+            "visited": 2}),
+        (dict(n=3), {"classes_order_2": 2, "classes_order_3": 4, "duplicate_siblings": 1,
+            "extensions_tried": 9, "parents_processed": 3, "rejected_not_canonical": 2,
+            "visited": 4}),
+        (dict(n=4), {"classes_order_2": 2, "classes_order_3": 4, "classes_order_4": 11,
+            "duplicate_siblings": 6, "extensions_tried": 32, "parents_processed": 7,
+            "rejected_not_canonical": 9, "visited": 11}),
+        (dict(n=5), {"classes_order_2": 2, "classes_order_3": 4, "classes_order_4": 11,
+            "classes_order_5": 34, "duplicate_siblings": 39, "extensions_tried": 142,
+            "parents_processed": 18, "rejected_not_canonical": 52, "visited": 34}),
+        (dict(n=6), {"classes_order_2": 2, "classes_order_3": 4, "classes_order_4": 11,
+            "classes_order_5": 34, "classes_order_6": 156, "duplicate_siblings": 203,
+            "extensions_tried": 702, "parents_processed": 52, "rejected_not_canonical": 292,
+            "visited": 156}),
+        (dict(n=7), {"classes_order_2": 2, "classes_order_3": 4, "classes_order_4": 11,
+            "classes_order_5": 34, "classes_order_6": 156, "classes_order_7": 1044,
+            "duplicate_siblings": 1492, "extensions_tried": 5174, "parents_processed": 208,
+            "rejected_not_canonical": 2431, "visited": 1044}),
+        (dict(n=8), {"classes_order_2": 2, "classes_order_3": 4, "classes_order_4": 11,
+            "classes_order_5": 34, "classes_order_6": 156, "classes_order_7": 1044,
+            "classes_order_8": 12346, "duplicate_siblings": 12975, "extensions_tried": 55912,
+            "parents_processed": 1252, "rejected_not_canonical": 29340, "visited": 12346}),
+        (dict(n=9, triangle_free=True), {"classes_order_2": 2, "classes_order_3": 3,
+            "classes_order_4": 7, "classes_order_5": 14, "classes_order_6": 38,
+            "classes_order_7": 107, "classes_order_8": 410, "classes_order_9": 1897,
+            "duplicate_siblings": 5157, "extensions_tried": 11259, "parents_processed": 582,
+            "rejected_not_canonical": 3624, "visited": 1897}),
+    ])
+    def test_stats_unchanged(self, kw, stats):
+        assert generate(CensusTask(**kw)).stats == stats
+
+    def test_labellings(self, monkeypatch):
+        # at the parent: 2,984 labellings, 504 of them reduced
+        calls = _labellings(monkeypatch, CensusTask(n=9, triangle_free=True))
+        assert calls == {"all": 2482, "reduced": 2}
+
+    def test_reduced_labelling_still_runs(self, monkeypatch):
+        # a child whose last vertex is no orbit mate of the new one is still
+        # tested by labelling the reduced graph
+        calls = _labellings(monkeypatch, CensusTask(n=8))
+        assert calls["reduced"] >= 1

@@ -9,7 +9,7 @@ import pytest
 import unicolor
 from unicolor.budget import Budget
 from unicolor.census import checkpoint_loads
-from unicolor.cli import main
+from unicolor.cli import build_parser, main
 from unicolor.colouring import _decide
 from unicolor.constructions import builtin_catalog, nu
 from unicolor.graphs import emit_graph6, parse_graph6
@@ -404,3 +404,42 @@ class TestClosedStdout:
         err = proc.stderr.read().decode()
         assert proc.wait(timeout=60) == 141
         assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+class TestParserBuiltOnce:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        import unicolor.cli as cli_module
+
+        count = [0]
+        build = cli_module.build_parser
+
+        def counted():
+            count[0] += 1
+            return build()
+
+        monkeypatch.setattr(cli_module, "build_parser", counted)
+        cli_module._parser.cache_clear()
+        yield count
+        cli_module._parser.cache_clear()
+
+    def test_two_calls_build_it_once(self, capsys, builds):
+        first = run(capsys, "check", "--catalog", "figure1a", "--k", "3")
+        second = run(capsys, "check", "--catalog", "figure1a", "--k", "3")
+        assert builds[0] == 1
+        assert first == second and first[0] == 0 and first[1]
+
+    @pytest.mark.parametrize("argv", [["--help"], ["census", "--help"], ["check", "--help"]])
+    def test_help_unchanged(self, capsys, builds, argv):
+        # the help a fresh parser prints, then main's, twice from one parser
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 0
+        expected = capsys.readouterr().out
+        assert expected.startswith("usage: unicolor")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == expected
+        assert builds[0] == 1

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import (
     brute_automorphism_count,
+    brute_canonical_graph6,
     brute_clique_number,
     brute_is_isomorphic,
     brute_vertex_connectivity_at_least,
@@ -479,6 +481,34 @@ class TestAutomorphismGenerators:
         autos: list[list[int]] = []
         assert _canonical_if_last(6, g.adj, 5, autos) == _canonical(6, g.adj, cols)
         assert group_order(autos, 6) == 12
+
+
+class TestLabellingGolden:
+    @staticmethod
+    def _graphs(rng: random.Random, count: int, max_order: int):
+        """Seeded random graphs of order 0..max_order; every third one of
+        order 2 or more is grown from a smaller one by twins."""
+        for i in range(count):
+            n = rng.randrange(0, max_order + 1)
+            if n > 1 and i % 3 == 0:
+                yield _with_twins(rng, random_graph(rng, rng.randrange(1, n), rng.random()), n)
+            else:
+                yield random_graph(rng, n, rng.random())
+
+    def test_bytes_placements_and_generators(self):
+        # pinned before singleton runs and graph6 from the search's words
+        digest = hashlib.sha1()
+        for g in self._graphs(random.Random(7014), 3000, 14):
+            autos: list[list[int]] = []
+            canon, placement = _canonical(g.n, g.adj, autos=autos)
+            digest.update(canon + repr((placement, autos)).encode("ascii") + b"\n")
+        assert digest.hexdigest() == "28f430e7bc7878122fdb4afd144c8b86c904ac2a"
+
+    def test_brute_force_greatest_words(self):
+        for g in self._graphs(random.Random(7015), 300, 7):
+            canon, placement = _canonical(g.n, g.adj)
+            assert canon == brute_canonical_graph6(g), emit_graph6(g)
+            assert emit_graph6(g.permuted(placement)).encode("ascii") == canon
 
 
 class TestDot:
