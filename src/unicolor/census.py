@@ -54,16 +54,21 @@ edges, as the floor of the edge window, so that the lookahead prunes with it
 too; and k-colourability, which is hereditary, so a class below full order
 that is not k-colourable, tested by one partition enumeration capped at
 one, is not expanded.  A uniquely 1-colourable graph is edgeless, so
-connectivity is required only for k >= 2.  At full order the colouring
-decision (one partition enumeration capped at two; the chromatic number is
-never computed), then the balanced test, run on every child before it is
-refined or labelled: both are isomorphism-invariant, and they reject most
-children, which are then never labelled.  A child that passes is labelled
-and tested for canonicity as above, and the colouring its decision found is
-carried to its canonical labels, so each class is enumerated once.  The
-stats count accordingly: ``battery_candidates``, ``failed_unique`` and
-``failed_balanced`` count full-order children, while ``visited`` and the
-full-order ``classes_order_<n>`` count the accepted classes that passed.
+connectivity is required only for k >= 2.  At full order the children of
+one parent that pass the structural and orbit filters are decided together,
+by one listing of the parent's partitions into at most k classes: each
+partition gives a child one partition per slot for the new vertex (a class
+disjoint from its neighbourhood, or a new class while there are fewer than
+k), and the listing stops once every child has two.  The chromatic number
+is never computed.  The balanced test follows on a child's one colouring.
+Both are isomorphism-invariant and run before any child is built, refined
+or labelled, so the many children they reject are never labelled.  A child
+that passes is labelled and tested for canonicity as above, and its
+colouring is carried to its canonical labels, so each class is enumerated
+once.  The stats count accordingly: ``battery_candidates``,
+``failed_unique`` and ``failed_balanced`` count full-order children, while
+``visited`` and the full-order ``classes_order_<n>`` count the accepted
+classes that passed.
 Only witnesses get a report, and so the (k-1)-connectivity test, which a
 uniquely k-colourable graph always passes.  A witness loaded from a
 checkpoint is decided and reported again, and the token is rejected unless
@@ -81,8 +86,9 @@ from .budget import Budget, BudgetExceededError
 from .colouring import (
     Colouring,
     VerificationReport,
-    _decide,
+    _colouring_of,
     _Decision,
+    _enumerate_partitions,
     _report,
     count_colour_partitions,
 )
@@ -295,7 +301,7 @@ def _extend_parent(
     parent_canon: bytes,
     stats: dict[str, int],
     gens: list[list[int]],
-    decide: Callable[[Graph, CensusTask, dict], _Decision | None] | None = None,
+    decide: Callable[[Graph, list[int], CensusTask, dict], list[_Decision | None]] | None = None,
 ) -> list[tuple[Graph, bytes, list[list[int]] | _Decision]]:
     """All accepted child classes of one parent, as canonical representatives.
 
@@ -305,10 +311,11 @@ def _extend_parent(
     plus sound lookahead bounds.  Each child below full order comes with
     generators of its own group, in its canonical labels; the generators
     of every child's group decide whether its canonically last vertex is an
-    orbit mate of the new one.  A full-order child comes with [], or, when ``decide`` is given, with the decision
-    ``decide(child, task, stats)`` made on it before it was labelled, carried
-    to its canonical labels; a child whose decision is None is dropped
-    unlabelled.
+    orbit mate of the new one.  A full-order child comes with [] or, when
+    ``decide`` is given, with its decision carried to its canonical labels:
+    ``decide(parent, masks, task, stats)`` is called once, on the masks that
+    pass the filters, before any child is built, and a child whose decision
+    is None is never built or labelled.
     """
     n = task.n
     dmin = task.min_degree
@@ -341,11 +348,10 @@ def _extend_parent(
     free = ((1 << r) - 1) & ~req
     masks = _candidate_masks(rows, req, free, lo_sz, hi_sz, task.triangle_free)
     _bump(stats, "extensions_tried", len(masks))
-    accepted: list[tuple[Graph, bytes, list[list[int]] | _Decision]] = []
-    seen_here: set[bytes] = set()
     comps = _components(rows) if r1 == n and task.connected else None
     maps = None  # the generators' mask tables, built when first needed
     tried: set[int] = set()  # masks in the orbit of a mask already tried
+    survivors: list[int] = []
     for mask in masks:
         # a neighbour of top degree would end above the new vertex
         if mask.bit_count() == top and mask & top_set:
@@ -371,14 +377,17 @@ def _extend_parent(
                     if x not in tried:
                         tried.add(x)
                         orbit.append(x)
+        survivors.append(mask)
+    decided: list[tuple[int, _Decision | None]] = [(m, None) for m in survivors]
+    if decide is not None and r1 == n and survivors:
+        # the decision is isomorphism-invariant and rejects most full-order
+        # children, so it runs on them all before any is built or labelled
+        decisions = decide(parent, survivors, task, stats)
+        decided = [(m, d) for m, d in zip(survivors, decisions) if d is not None]
+    accepted: list[tuple[Graph, bytes, list[list[int]] | _Decision]] = []
+    seen_here: set[bytes] = set()
+    for mask, decision in decided:
         child = parent.with_vertex(mask)
-        decision = None
-        if decide is not None and r1 == n:
-            # the decision is isomorphism-invariant and rejects most
-            # full-order children, so it runs before refinement and labelling
-            decision = decide(child, task, stats)
-            if decision is None:
-                continue
         autos: list[list[int]] = []
         labelled = _canonical_if_last(r1, child.adj, r, autos)
         if labelled is None:
@@ -523,16 +532,17 @@ def _drive(
     checkpoint: dict | None = None,
     threads: int = 1,
     keep: Callable[[Graph], bool] | None = None,
-    decide: Callable[[Graph, CensusTask, dict], _Decision | None] | None = None,
+    decide: Callable[[Graph, list[int], CensusTask, dict], list[_Decision | None]] | None = None,
 ) -> CensusResult:
     """The one census driver behind generate and find_unique_k_witnesses.
 
     Searches for the classes of ``eff`` and hands each full-order class to
     ``visit`` once, with what _extend_parent carries for it and the result
-    it records into.  With ``decide``, every full-order child is decided
-    before it is labelled, and only a child that passes is labelled and
-    visited, with its decision in canonical labels; the order-1 task, which
-    is settled without a search, gets the same decision.  A class below full
+    it records into.  With ``decide``, the full-order children of each
+    parent are decided together before any is built, and only a child that
+    passes is labelled and visited, with its decision in canonical labels;
+    the order-1 task, which is settled without a search, is decided as the
+    child of the order-0 graph by mask 0.  A class below full
     order that ``keep`` rejects is not expanded.  A canonical parent is an
     induced subgraph of its children, so when ``keep`` holds for every
     induced subgraph of a graph it holds for, the only full-order classes
@@ -566,10 +576,10 @@ def _drive(
     elif eff.n == 1:
         lo = eff.edge_window[0] if eff.edge_window is not None else 0
         if eff.min_degree <= 0 and lo <= 0:
-            g = Graph(1)
-            extra = [] if decide is None else decide(g, eff, stats)
+            # the order-1 graph is the child of the order-0 graph by mask 0
+            extra = [] if decide is None else decide(Graph(0), [0], eff, stats)[0]
             if extra is not None:
-                inner(g, b"@", extra)
+                inner(Graph(1), b"@", extra)
         return result
     else:
         stack = [(Graph(1), b"@", [])]
@@ -614,25 +624,94 @@ def generate(
     return _drive(task, task, "generate", on_class, checkpoint)
 
 
-def _battery(g: Graph, task: CensusTask, stats: dict) -> _Decision | None:
-    """The colouring decision on one full-order graph, cheapest check first,
-    or None when the graph is not a witness.
+class _AllSettled(Exception):
+    """Stops a parent's listing once every child has two partitions."""
 
-    One partition enumeration capped at two (the chromatic number is never
-    computed), then the balanced test on the colouring it found.  Both are
-    isomorphism-invariant, so the census runs them on each full-order child
-    before it labels it.  Xu's edge bound needs no test: it is the floor of
-    the task's edge window, which the search applies at full order.
+
+def _child_partitions(
+    parent: Graph, masks: Sequence[int], k: int
+) -> list[tuple[int, tuple[int, ...] | None]]:
+    """For each mask m, the partitions into <= k classes of the child
+    ``parent.with_vertex(m)``: their number capped at 2 and, when there is
+    exactly one, its classes as bitmasks.
+
+    A partition of the child restricts to one of the parent, and the new
+    vertex r sits in a class disjoint from m or alone, so the child's
+    partitions correspond one to one with pairs of a parent partition and a
+    slot for r: a class disjoint from m, or a new class while the partition
+    has fewer than k.  One listing of the parent's partitions adds each
+    child's slots, and stops once every child has two.
     """
-    _bump(stats, "battery_candidates")
-    decision = _decide(g, task.k)
-    if decision.verdict != "yes":
-        _bump(stats, "failed_unique")
-        return None
-    if task.balanced and len(set(decision.colouring.class_sizes())) != 1:
-        _bump(stats, "failed_balanced")
-        return None
-    return decision
+    rbit = 1 << parent.n
+    counts = [0] * len(masks)
+    ones: list[tuple[int, ...] | None] = [None] * len(masks)
+    pending = list(range(len(masks)))
+
+    def leaf(classes: tuple[int, ...]) -> None:
+        nonlocal pending
+        spare = len(classes) < k
+        full = False
+        for i in pending:
+            m = masks[i]
+            slot = -1
+            ways = spare
+            for j, c in enumerate(classes):
+                if not c & m:
+                    ways += 1
+                    slot = j
+            if not ways:
+                continue
+            if counts[i] or ways > 1:
+                counts[i] = 2
+                full = True
+            else:
+                counts[i] = 1
+                if slot < 0:
+                    ones[i] = (*classes, rbit)
+                else:
+                    ones[i] = (*classes[:slot], classes[slot] | rbit, *classes[slot + 1:])
+        if full:
+            pending = [i for i in pending if counts[i] < 2]
+            if not pending:
+                raise _AllSettled
+
+    if pending:
+        try:
+            _enumerate_partitions(parent, k, None, on_leaf=leaf)
+        except _AllSettled:
+            pass
+    return [(c, ones[i] if c == 1 else None) for i, c in enumerate(counts)]
+
+
+def _battery(
+    parent: Graph, masks: Sequence[int], task: CensusTask, stats: dict
+) -> list[_Decision | None]:
+    """The colouring decision on each full-order child
+    ``parent.with_vertex(m)``, cheapest check first: None for a child that
+    is not a witness.
+
+    All children of the parent are decided by one listing of its
+    partitions, stopped once every child has two (_child_partitions; the
+    chromatic number is never computed).  A child is uniquely k-colourable
+    iff it has exactly one partition and that has k classes, as _decide
+    decides, whose decision it then gets.  The balanced test follows on that
+    colouring.  Both are isomorphism-invariant, so the census runs them on
+    the children before it labels any.  Xu's edge bound needs no test: it
+    is the floor of the task's edge window, which the search applies at full
+    order.
+    """
+    _bump(stats, "battery_candidates", len(masks))
+    out: list[_Decision | None] = []
+    for count, classes in _child_partitions(parent, masks, task.k):
+        if count != 1 or len(classes) != task.k:
+            _bump(stats, "failed_unique")
+            out.append(None)
+        elif task.balanced and len({c.bit_count() for c in classes}) != 1:
+            _bump(stats, "failed_balanced")
+            out.append(None)
+        else:
+            out.append(_Decision(_colouring_of(parent.n + 1, classes), 1, False, "yes"))
+    return out
 
 
 def _witness(g: Graph, canon: bytes, k: int, decision: _Decision) -> Witness:
@@ -660,7 +739,7 @@ def _meets_filters(g: Graph, task: CensusTask) -> bool:
 
 def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
     """The witness that the checkpoint entry ``d`` names, rebuilt from its
-    graph.
+    graph, which is decided as the child of its first n-1 vertices.
 
     Raises ValueError unless ``d`` names the canonical graph6 of a graph of
     order task.n that passes the task's filters and _battery, and ``d`` is
@@ -670,7 +749,7 @@ def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
     g = _canonical_graph(s, task.n, task.n, "witness")
     if not _meets_filters(g, task):
         raise ValueError(f"witness {s!r} does not pass the task's filters")
-    decision = _battery(g, task, {})
+    decision = _battery(g.without_vertex(g.n - 1), [g.adj[-1]], task, {})[0]
     if decision is None:
         raise ValueError(f"witness {s!r} fails the uniquely {task.k}-colourable decision")
     w = _witness(g, s.encode("ascii"), task.k, decision)
@@ -687,9 +766,11 @@ def find_unique_k_witnesses(
     Runs the census under necessary conditions for unique k-colourability:
     the degree floor k-1, connectivity when k >= 2 (a uniquely 1-colourable
     graph is edgeless), Xu's edge floor as the floor of the edge window, and
-    k-colourability of every class below full order.  Each full-order child
-    is decided by _battery before it is labelled, and each class that passes
-    is reported once.  Witnesses are reported sorted by (edges, graph6).
+    k-colourability of every class below full order.  The full-order
+    children of each parent are decided by one _battery call, which lists
+    the parent's partitions once, before any child is labelled, and each
+    class that passes is reported once.  Witnesses are reported sorted by
+    (edges, graph6).
     ``threads`` > 1 distributes the search tree over worker processes
     (budgets then unsupported).
     """

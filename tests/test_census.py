@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -10,9 +11,12 @@ from conftest import (
     brute_count_partitions,
     group_order,
     is_automorphism,
+    random_graph,
 )
 from unicolor.census import (
     CensusTask,
+    _battery,
+    _child_partitions,
     _extend_parent,
     checkpoint_dumps,
     checkpoint_loads,
@@ -21,14 +25,16 @@ from unicolor.census import (
     resume,
 )
 from unicolor.cli import main
-from unicolor.colouring import find_colour_partition
+from unicolor.colouring import _colouring_of, _decide, find_colour_partition
 from unicolor.graphs import (
     Graph,
     canonical_form,
+    complete_graph,
     emit_graph6,
     is_connected,
     is_triangle_free,
     parse_graph6,
+    path_graph,
 )
 
 
@@ -620,3 +626,207 @@ class TestOrbitShortcut:
         # tested by labelling the reduced graph
         calls = _labellings(monkeypatch, CensusTask(n=8))
         assert calls["reduced"] >= 1
+
+
+class TestWitnessStatsGolden:
+    # find_unique_k_witnesses stats pinned before full-order children were
+    # decided in one batch per parent: battery_candidates, failed_unique and
+    # failed_balanced count full-order children, one by one
+    @pytest.mark.parametrize("kw, stats", [
+        (dict(n=1, k=1), {"battery_candidates": 1, "visited": 1, "witnesses": 1}),
+        (dict(n=5, k=1), {"battery_candidates": 5, "classes_order_2": 2, "classes_order_3": 3,
+            "classes_order_4": 4, "classes_order_5": 1, "duplicate_siblings": 16,
+            "extensions_tried": 30, "failed_unique": 4, "parents_processed": 4, "visited": 1,
+            "witnesses": 1}),
+        (dict(n=1, k=2), {}),
+        (dict(n=2, k=2), {"battery_candidates": 1, "classes_order_2": 1, "extensions_tried": 1,
+            "parents_processed": 1, "visited": 1, "witnesses": 1}),
+        (dict(n=3, k=2), {"battery_candidates": 2, "classes_order_2": 2, "classes_order_3": 1,
+            "extensions_tried": 6, "failed_unique": 1, "parents_processed": 3,
+            "rejected_not_canonical": 2, "visited": 1, "witnesses": 1}),
+        (dict(n=4, k=2), {"battery_candidates": 5, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 3, "duplicate_siblings": 2, "extensions_tried": 17,
+            "failed_unique": 2, "parents_processed": 6, "rejected_not_canonical": 4,
+            "visited": 3, "witnesses": 3}),
+        (dict(n=5, k=2), {"battery_candidates": 18, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 10, "classes_order_5": 5, "duplicate_siblings": 20,
+            "extensions_tried": 77, "failed_unique": 12, "full_rejected_connected": 2,
+            "parents_processed": 13, "rejected_not_canonical": 22, "visited": 5,
+            "witnesses": 5}),
+        (dict(n=6, k=2), {"battery_candidates": 69, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 10, "classes_order_5": 29, "classes_order_6": 17,
+            "duplicate_siblings": 85, "extensions_tried": 281, "failed_unique": 50,
+            "full_rejected_connected": 5, "parents_processed": 26, "rejected_not_canonical": 79,
+            "visited": 17, "witnesses": 17}),
+        (dict(n=7, k=2), {"battery_candidates": 357, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 10, "classes_order_5": 29, "classes_order_6": 100,
+            "classes_order_7": 44, "duplicate_siblings": 559, "extensions_tried": 1509,
+            "failed_unique": 299, "full_rejected_connected": 42, "parents_processed": 61,
+            "rejected_not_canonical": 420, "visited": 44, "witnesses": 44}),
+        (dict(n=8, k=2), {"battery_candidates": 2126, "classes_order_2": 2,
+            "classes_order_3": 4, "classes_order_4": 10, "classes_order_5": 29,
+            "classes_order_6": 100, "classes_order_7": 442, "classes_order_8": 182,
+            "duplicate_siblings": 2816, "extensions_tried": 7537, "failed_unique": 1887,
+            "full_rejected_connected": 167, "parents_processed": 149,
+            "rejected_not_canonical": 1898, "visited": 182, "witnesses": 182}),
+        (dict(n=1, k=3), {}),
+        (dict(n=2, k=3), {"extensions_tried": 0, "parents_processed": 1}),
+        (dict(n=3, k=3), {"battery_candidates": 1, "classes_order_2": 1, "classes_order_3": 1,
+            "extensions_tried": 2, "parents_processed": 2, "visited": 1, "witnesses": 1}),
+        (dict(n=4, k=3), {"battery_candidates": 2, "classes_order_2": 2, "classes_order_3": 2,
+            "classes_order_4": 1, "extensions_tried": 11, "failed_unique": 1,
+            "parents_processed": 5, "rejected_not_canonical": 5, "visited": 1, "witnesses": 1}),
+        (dict(n=5, k=3), {"battery_candidates": 7, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 6, "classes_order_5": 3, "duplicate_siblings": 5,
+            "extensions_tried": 37, "failed_unique": 4, "parents_processed": 12,
+            "rejected_not_canonical": 13, "visited": 3, "witnesses": 3}),
+        (dict(n=6, k=3), {"battery_candidates": 45, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 11, "classes_order_5": 21, "classes_order_6": 12,
+            "duplicate_siblings": 38, "extensions_tried": 214, "failed_unique": 31,
+            "parents_processed": 35, "rejected_not_canonical": 95, "visited": 12,
+            "witnesses": 12}),
+        (dict(n=7, k=3), {"battery_candidates": 471, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 11, "classes_order_5": 33, "classes_order_6": 113,
+            "classes_order_7": 72, "duplicate_siblings": 390, "extensions_tried": 1781,
+            "failed_unique": 367, "parents_processed": 132, "rejected_not_canonical": 789,
+            "visited": 72, "witnesses": 72}),
+        (dict(n=8, k=3), {"battery_candidates": 7747, "classes_order_2": 2,
+            "classes_order_3": 4, "classes_order_4": 11, "classes_order_5": 33,
+            "classes_order_6": 150, "classes_order_7": 821, "classes_order_8": 856,
+            "duplicate_siblings": 4198, "extensions_tried": 21848, "failed_unique": 6424,
+            "parents_processed": 706, "rejected_not_canonical": 9349, "visited": 856,
+            "witnesses": 856}),
+        (dict(n=1, k=4), {}),
+        (dict(n=2, k=4), {"extensions_tried": 0, "parents_processed": 1}),
+        (dict(n=3, k=4), {"extensions_tried": 0, "parents_processed": 1}),
+        (dict(n=4, k=4), {"battery_candidates": 1, "classes_order_2": 1, "classes_order_3": 1,
+            "classes_order_4": 1, "extensions_tried": 3, "parents_processed": 3, "visited": 1,
+            "witnesses": 1}),
+        (dict(n=5, k=4), {"battery_candidates": 2, "classes_order_2": 2, "classes_order_3": 2,
+            "classes_order_4": 2, "classes_order_5": 1, "extensions_tried": 17,
+            "failed_unique": 1, "parents_processed": 7, "rejected_not_canonical": 9,
+            "visited": 1, "witnesses": 1}),
+        (dict(n=6, k=4), {"battery_candidates": 7, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 6, "classes_order_5": 7, "classes_order_6": 3,
+            "duplicate_siblings": 5, "extensions_tried": 62, "failed_unique": 4,
+            "parents_processed": 19, "rejected_not_canonical": 31, "visited": 3,
+            "witnesses": 3}),
+        (dict(n=7, k=4), {"battery_candidates": 75, "classes_order_2": 2, "classes_order_3": 4,
+            "classes_order_4": 11, "classes_order_5": 22, "classes_order_6": 43,
+            "classes_order_7": 12, "duplicate_siblings": 71, "extensions_tried": 467,
+            "failed_unique": 63, "parents_processed": 79, "rejected_not_canonical": 239,
+            "visited": 12, "witnesses": 12}),
+        (dict(n=8, k=4), {"battery_candidates": 1537, "classes_order_2": 2,
+            "classes_order_3": 4, "classes_order_4": 11, "classes_order_5": 34,
+            "classes_order_6": 117, "classes_order_7": 399, "classes_order_8": 127,
+            "duplicate_siblings": 969, "extensions_tried": 6377, "failed_unique": 1373,
+            "parents_processed": 528, "rejected_not_canonical": 3341, "visited": 127,
+            "witnesses": 127}),
+        (dict(n=6, k=3, balanced=True), {"battery_candidates": 45, "classes_order_2": 2,
+            "classes_order_3": 4, "classes_order_4": 11, "classes_order_5": 21,
+            "classes_order_6": 7, "duplicate_siblings": 38, "extensions_tried": 214,
+            "failed_balanced": 5, "failed_unique": 31, "parents_processed": 35,
+            "rejected_not_canonical": 95, "visited": 7, "witnesses": 7}),
+        (dict(n=8, k=2, balanced=True), {"battery_candidates": 2126, "classes_order_2": 2,
+            "classes_order_3": 4, "classes_order_4": 10, "classes_order_5": 29,
+            "classes_order_6": 100, "classes_order_7": 442, "classes_order_8": 93,
+            "duplicate_siblings": 2816, "extensions_tried": 7537, "failed_balanced": 107,
+            "failed_unique": 1887, "full_rejected_connected": 167, "parents_processed": 149,
+            "rejected_not_canonical": 1880, "visited": 93, "witnesses": 93}),
+        (dict(n=9, k=3, triangle_free=True), {"battery_candidates": 116, "classes_order_2": 2,
+            "classes_order_3": 3, "classes_order_4": 7, "classes_order_5": 14,
+            "classes_order_6": 38, "classes_order_7": 105, "classes_order_8": 162,
+            "duplicate_siblings": 468, "extensions_tried": 1318, "failed_unique": 116,
+            "parents_processed": 332, "rejected_not_canonical": 403}),
+        (dict(n=10, k=3, triangle_free=True), {"battery_candidates": 1221, "classes_order_2": 2,
+            "classes_order_3": 3, "classes_order_4": 7, "classes_order_5": 14,
+            "classes_order_6": 38, "classes_order_7": 107, "classes_order_8": 406,
+            "classes_order_9": 953, "duplicate_siblings": 2300, "extensions_tried": 7620,
+            "failed_unique": 1221, "parents_processed": 1531, "rejected_not_canonical": 2569}),
+    ])
+    def test_stats(self, kw, stats):
+        assert find_unique_k_witnesses(CensusTask(**kw)).stats == stats
+
+
+def _batch_cases():
+    """Seeded random parents of order 0..7 at k = 1..4, and K_{k+1}."""
+    rng = random.Random(1616)
+    for n in range(8):
+        for k in range(1, 5):
+            yield random_graph(rng, n, rng.choice((0.3, 0.5, 0.7))), k
+    for k in range(1, 5):
+        yield complete_graph(k + 1), k
+
+
+class TestBatchedDecision:
+    """Every full-order child of a parent decided by one listing of the
+    parent's partitions, against a listing per child and brute force."""
+
+    @pytest.mark.parametrize("parent, k", list(_batch_cases()))
+    def test_every_mask_matches_decide(self, parent, k):
+        masks = list(range(1 << parent.n))
+        stats: dict[str, int] = {}
+        found = _child_partitions(parent, masks, k)
+        decisions = _battery(parent, masks, CensusTask(n=parent.n + 1, k=k), stats)
+        assert stats["battery_candidates"] == len(masks)
+        assert stats.get("failed_unique", 0) == decisions.count(None)
+        for mask, (count, classes), decision in zip(masks, found, decisions):
+            child = parent.with_vertex(mask)
+            ref = _decide(child, k)
+            assert count == ref.count
+            assert count == brute_count_partitions(child, k, cap=2)
+            if count == 1:
+                assert _colouring_of(child.n, classes) == ref.colouring
+            else:
+                assert classes is None
+            assert decision == (ref if ref.verdict == "yes" else None)
+
+    def test_parent_without_partitions(self):
+        for k in range(1, 4):
+            parent = complete_graph(k + 1)
+            found = _child_partitions(parent, list(range(1 << parent.n)), k)
+            assert found == [(0, None)] * (1 << parent.n)
+
+    def test_order_zero_parent(self):
+        # the order-1 task: the one child of the order-0 graph, by mask 0
+        assert _child_partitions(Graph(0), [0], 2) == [(1, (1,))]
+        task = CensusTask(n=1, k=1)
+        assert _battery(Graph(0), [0], task, {}) == [_decide(Graph(1), 1)]
+        assert _battery(Graph(0), [0], replace(task, k=2), {}) == [None]
+
+    def _leaves(self, monkeypatch, parent, masks, k) -> tuple[list, int]:
+        """_child_partitions(parent, masks, k), and the leaves its one listing reached."""
+        import unicolor.census as census_module
+
+        calls: list[int] = []
+        enumerate_partitions = census_module._enumerate_partitions
+
+        def spy(g, k, cap, on_leaf):
+            calls.append(0)
+
+            def counted(classes):
+                calls[-1] += 1
+                on_leaf(classes)
+
+            return enumerate_partitions(g, k, cap, on_leaf=counted)
+
+        monkeypatch.setattr(census_module, "_enumerate_partitions", spy)
+        found = _child_partitions(parent, masks, k)
+        assert len(calls) == 1
+        return found, calls[0]
+
+    def test_listing_stops_once_every_child_has_two(self, monkeypatch):
+        parent = Graph(5)  # 41 partitions into at most 3 classes
+        masks = list(range(1, 1 << 5))
+        found, leaves = self._leaves(monkeypatch, parent, masks, 3)
+        assert found == [(2, None)] * len(masks)
+        assert leaves < brute_count_partitions(parent, 3) == 41
+
+    def test_listing_runs_to_the_end_for_a_witness(self, monkeypatch):
+        parent = path_graph(3)  # {0, 2} {1} and three singletons
+        found, leaves = self._leaves(monkeypatch, parent, [0b111, 0], 3)
+        # joined to the whole path, r can only open a third class: K4 - e
+        (count, classes), other = found
+        assert count == 1 and set(classes) == {0b101, 0b010, 0b1000}
+        assert other == (2, None)
+        assert leaves == brute_count_partitions(parent, 3) == 2
