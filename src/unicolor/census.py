@@ -1,32 +1,33 @@
 """Isomorph-free census of small graphs and the unique-colourability witness search.
 
-Generation is by canonical augmentation: a graph of order r+1 is produced
+Generation is by canonical augmentation (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998).  A graph of order r+1 is produced
 from exactly one parent class, namely the one obtained by deleting the
-vertex its canonical labelling places last.  An extension of a processed
-parent is kept iff deleting that canonically-last vertex recovers the
-parent.  No global "seen" set is needed, so runs can be split at
-checkpoints or across workers and merged without coordination.
-
-When the canonically last vertex w is not the new vertex r, the generators
-of the child's automorphism group, which its labelling collects, are asked
-first whether w lies in r's orbit.  If it does, child - w is isomorphic to
-child - r, the parent, and the child is kept without a second labelling.
-Only when w and r lie in different orbits is child - w labelled and compared
-with the parent: pseudo-similar vertices leave isomorphic graphs without
-being orbit mates (McKay and Piperno, J. Symb. Comput. 60, 2014).
+vertex its canonical labelling places last.  A child of a processed parent
+is kept iff that canonically last vertex w is the new vertex r or lies in
+r's orbit under the child's automorphism group, whose generators its
+labelling collects.  No global "seen" set is needed, so runs can be split
+at checkpoints or across workers and merged without coordination.
 
 Only one neighbourhood mask per orbit of the parent's automorphism group is
-tried (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).  Masks in one orbit give isomorphic children, which get the same
+tried.  Masks in one orbit give isomorphic children, which get the same
 verdict, so the first mask of each orbit in candidate order stands for the
-others, and they are skipped before their child is built.  The generators
-of a parent's group come from the labelling that accepted it as a child,
-whose tie search meets them anyway, and are carried down the tree in
-canonical labels; roots loaded from a checkpoint or handed to a worker get
-theirs from one labelling.  Pseudo-similar vertices can still give
-isomorphic siblings from different orbits, and these are removed by
-canonical form.  The ``duplicate_siblings`` stat counts both kinds: masks
-skipped as orbit mates and children dropped by canonical form.
+others, and they are skipped before their child is built; the
+``duplicate_siblings`` stat counts them.  The generators of a parent's
+group come from the labelling that accepted it as a child, whose tie search
+meets them anyway, and are carried down the tree in canonical labels; roots
+loaded from a checkpoint or handed to a worker get theirs from one
+labelling.
+
+The rule alone yields each class once, given generators of the whole group.
+No class is lost: a class's canonically last vertex w leaves a graph of the
+parent class, one of whose masks puts the new vertex in w's place, and the
+first mask of its orbit gives an isomorphic child with the new vertex in the
+orbit of its canonically last vertex.  No class repeats: a class has one
+parent class, and two kept siblings are never isomorphic, for an isomorphism
+between them maps one new vertex to the other, both being orbit mates of
+their canonically last vertices, and so restricts to an automorphism of the
+parent that maps one mask to the other, which puts both masks in one orbit.
 
 Most other extensions are rejected before they are labelled.  The
 canonically last vertex has maximum degree and lies in the top refined
@@ -35,11 +36,12 @@ from the parent's degrees and the neighbourhood mask, is rejected at once:
 masks smaller than the parent's top degree are never built.  A new vertex
 outside the top cell is rejected by a refinement that stops in the first
 round in which it leaves that cell; a full refinement's colours are reused
-by the labelling.  No class is lost: a class whose canonically last vertex
-w leaves a graph isomorphic to the parent is also reached by the sibling
-mask that puts the new vertex in w's place, and that mask passes both
-tests; so does the first mask of its orbit, whose child is isomorphic to it
-with the new vertex fixed.
+by the labelling.  No class is lost: an orbit mate of the canonically last
+vertex has its degree and refined colour, so the child that the rule keeps
+passes both tests.
+
+A class is carried as its canonically labelled graph, whose graph6 string
+is its canonical form: checkpoint tokens and witnesses record that string.
 
 Hereditary constraints (triangle-freeness, edge-count ceiling) prune during
 generation, together with sound lookahead bounds for the degree floor and
@@ -78,7 +80,6 @@ the stored witness matches.
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Callable, Sequence
 
@@ -97,6 +98,7 @@ from .graphs import (
     _canonical,
     _canonical_if_last,
     _component,
+    emit_graph6,
     independence_number,
     is_connected,
     is_triangle_free,
@@ -282,6 +284,8 @@ def _mask_maps(gens: list[list[int]]) -> list[tuple[list[int], list[int]]]:
 
 def _in_orbit(gens: list[list[int]], v: int, w: int) -> bool:
     """Whether the permutations ``gens`` generate one that maps v to w."""
+    if v == w:
+        return True
     seen = 1 << v
     todo = [v]
     for x in todo:
@@ -298,21 +302,22 @@ def _in_orbit(gens: list[list[int]], v: int, w: int) -> bool:
 def _extend_parent(
     task: CensusTask,
     parent: Graph,
-    parent_canon: bytes,
-    stats: dict[str, int],
     gens: list[list[int]],
+    stats: dict[str, int],
     decide: Callable[[Graph, list[int], CensusTask, dict], list[_Decision | None]] | None = None,
-) -> list[tuple[Graph, bytes, list[list[int]] | _Decision]]:
-    """All accepted child classes of one parent, as canonical representatives.
+) -> list[tuple[Graph, list[list[int]] | _Decision]]:
+    """The accepted children of one parent, each canonically labelled, with
+    what it carries.
 
     ``gens`` generate the parent's automorphism group.  Children have order
     r+1; when r+1 == task.n the full-order structural filters (connectivity,
     exact degree floor, edge window) apply, otherwise hereditary constraints
-    plus sound lookahead bounds.  Each child below full order comes with
-    generators of its own group, in its canonical labels; the generators
-    of every child's group decide whether its canonically last vertex is an
-    orbit mate of the new one.  A full-order child comes with [] or, when
-    ``decide`` is given, with its decision carried to its canonical labels:
+    plus sound lookahead bounds.  A child is accepted by McKay's rule alone:
+    its canonically last vertex is the new vertex r or, by the generators
+    its labelling collects, an orbit mate of r.  Each child below full order
+    comes with those generators, in its canonical labels.  A full-order
+    child comes with [] or, when ``decide`` is given, with its decision
+    carried to its canonical labels:
     ``decide(parent, masks, task, stats)`` is called once, on the masks that
     pass the filters, before any child is built, and a child whose decision
     is None is never built or labelled.
@@ -337,8 +342,7 @@ def _extend_parent(
     else:
         alpha_next = n
     degrees = parent.degrees()
-    parent_degrees = sorted(degrees)
-    top = parent_degrees[-1]
+    top = max(degrees)
     top_set = sum(1 << v for v, d in enumerate(degrees) if d == top)
     # the new vertex must end with maximum degree to be canonically last
     lo_sz = max(floor_child, top, lo - e - _max_addable(r1, n, alpha_next))
@@ -384,32 +388,16 @@ def _extend_parent(
         # children, so it runs on them all before any is built or labelled
         decisions = decide(parent, survivors, task, stats)
         decided = [(m, d) for m, d in zip(survivors, decisions) if d is not None]
-    accepted: list[tuple[Graph, bytes, list[list[int]] | _Decision]] = []
-    seen_here: set[bytes] = set()
+    accepted: list[tuple[Graph, list[list[int]] | _Decision]] = []
     for mask, decision in decided:
         child = parent.with_vertex(mask)
         autos: list[list[int]] = []
         labelled = _canonical_if_last(r1, child.adj, r, autos)
-        if labelled is None:
+        # McKay's rule: the canonically last vertex must be r or an orbit mate
+        if labelled is None or not _in_orbit(autos, r, labelled[1][-1]):
             _bump(stats, "rejected_not_canonical")
             continue
-        canon, placement = labelled
-        if canon in seen_here:
-            _bump(stats, "duplicate_siblings")
-            continue
-        seen_here.add(canon)
-        w = placement[-1]
-        if w != r and not _in_orbit(autos, r, w):
-            # w is no orbit mate of r, yet child - w may still be isomorphic
-            # to child - r, the parent, when w and r are pseudo-similar
-            reduced = child.without_vertex(w)
-            if (
-                reduced.edge_count() != e
-                or sorted(reduced.degrees()) != parent_degrees
-                or _canonical(r, reduced.adj)[0] != parent_canon
-            ):
-                _bump(stats, "rejected_not_canonical")
-                continue
+        placement = labelled[1]
         _bump(stats, f"classes_order_{r1}")
         extra: list[list[int]] | _Decision = []
         if decision is not None:
@@ -420,45 +408,47 @@ def _extend_parent(
             for i, v in enumerate(placement):
                 label[v] = i
             extra = [[label[p[v]] for v in placement] for p in autos]
-        accepted.append((child.permuted(placement), canon, extra))
+        accepted.append((child.permuted(placement), extra))
     return accepted
 
 
 def _census_loop(
-    stack: list[tuple[Graph, bytes, list[list[int]]]],
-    expand: Callable[[Graph, bytes, list[list[int]], list], None],
+    stack: list[tuple[Graph, list[list[int]]]],
+    expand: Callable[[Graph, list[list[int]], list], None],
     budget: Budget | None,
 ) -> list[str] | None:
     """Depth-first drive of ``expand``, which pushes a parent's children to
-    be expanded onto the stack.  Returns the pending stack as graph6 strings
-    if the budget runs out, or None on completion."""
+    be expanded onto the stack of (canonically labelled graph, generators of
+    its group) entries.  Returns the pending graphs as canonical graph6
+    strings if the budget runs out, or None on completion."""
     while stack:
-        parent, parent_canon, gens = stack.pop()
+        parent, gens = stack.pop()
         if budget is not None:
             try:
                 budget.spend(1)
                 budget.check_time()
             except BudgetExceededError:
-                stack.append((parent, parent_canon, gens))
-                return [canon.decode("ascii") for _, canon, _ in stack]
-        expand(parent, parent_canon, gens, stack)
+                stack.append((parent, gens))
+                return [emit_graph6(g) for g, _ in stack]
+        expand(parent, gens, stack)
     return None
 
 
 def _expand_frontier(
-    level: list[tuple[Graph, bytes, list[list[int]]]],
+    level: list[tuple[Graph, list[list[int]]]],
     want: int,
     n: int,
-    expand: Callable[[Graph, bytes, list[list[int]], list], None],
+    expand: Callable[[Graph, list[list[int]], list], None],
 ) -> list[str]:
     """Grow the augmentation tree breadth-first from ``level`` until at least
-    ``want`` subtree roots exist or the next level would reach order ``n``."""
+    ``want`` subtree roots exist or the next level would reach order ``n``;
+    the roots are returned as canonical graph6 strings."""
     while level and len(level) < want and level[0][0].n < n - 1:
-        nxt: list[tuple[Graph, bytes, list[list[int]]]] = []
-        for parent, canon, gens in level:
-            expand(parent, canon, gens, nxt)
+        nxt: list[tuple[Graph, list[list[int]]]] = []
+        for parent, gens in level:
+            expand(parent, gens, nxt)
         level = nxt
-    return [canon.decode("ascii") for _, canon, _ in level]
+    return [emit_graph6(g) for g, _ in level]
 
 
 def _make_token(task: CensusTask, pending: list[str], stats: dict, mode: str,
@@ -512,7 +502,7 @@ def _canonical_graph(
     return g
 
 
-def _load_stack(pending: list, n: int) -> list[tuple[Graph, bytes, list[list[int]]]]:
+def _load_stack(pending: list, n: int) -> list[tuple[Graph, list[list[int]]]]:
     """The search stack of a token's pending roots, each with generators of
     its automorphism group.  Each must be the canonical graph6 string of a
     graph of order 1..n-1."""
@@ -520,7 +510,7 @@ def _load_stack(pending: list, n: int) -> list[tuple[Graph, bytes, list[list[int
     for s in pending:
         gens: list[list[int]] = []
         g = _canonical_graph(s, 1, n - 1, "pending entry", gens)
-        stack.append((g, s.encode("ascii"), gens))
+        stack.append((g, gens))
     return stack
 
 
@@ -528,7 +518,7 @@ def _drive(
     task: CensusTask,
     eff: CensusTask,
     mode: str,
-    visit: Callable[[Graph, bytes, list | _Decision, CensusResult], None],
+    visit: Callable[[Graph, list | _Decision, CensusResult], None],
     checkpoint: dict | None = None,
     threads: int = 1,
     keep: Callable[[Graph], bool] | None = None,
@@ -537,13 +527,14 @@ def _drive(
     """The one census driver behind generate and find_unique_k_witnesses.
 
     Searches for the classes of ``eff`` and hands each full-order class to
-    ``visit`` once, with what _extend_parent carries for it and the result
-    it records into.  With ``decide``, the full-order children of each
-    parent are decided together before any is built, and only a child that
-    passes is labelled and visited, with its decision in canonical labels;
-    the order-1 task, which is settled without a search, is decided as the
-    child of the order-0 graph by mask 0.  A class below full
-    order that ``keep`` rejects is not expanded.  A canonical parent is an
+    ``visit`` once, as its canonically labelled graph, with what
+    _extend_parent carries for it and the result it records into.  With
+    ``decide``, the full-order children of each parent are decided together
+    before any is built, and only a child that passes is labelled and
+    visited, with its decision in canonical labels; the order-1 task, which
+    is settled without a search, is decided as the child of the order-0
+    graph by mask 0.  A class below full order that ``keep`` rejects is not
+    expanded.  A canonical parent is an
     induced subgraph of its children, so when ``keep`` holds for every
     induced subgraph of a graph it holds for, the only full-order classes
     lost are those that fail ``keep`` themselves.  The search starts from
@@ -556,16 +547,16 @@ def _drive(
     result = CensusResult(task=task)
     stats = result.stats
 
-    def inner(g: Graph, canon: bytes, extra: list | _Decision) -> None:
+    def inner(g: Graph, extra: list | _Decision) -> None:
         _bump(stats, "visited")
-        visit(g, canon, extra, result)
+        visit(g, extra, result)
 
-    def expand(parent: Graph, canon: bytes, gens: list[list[int]], out: list) -> None:
-        for child, child_canon, extra in _extend_parent(eff, parent, canon, stats, gens, decide):
+    def expand(parent: Graph, gens: list[list[int]], out: list) -> None:
+        for child, extra in _extend_parent(eff, parent, gens, stats, decide):
             if child.n == eff.n:
-                inner(child, child_canon, extra)
+                inner(child, extra)
             elif keep is None or keep(child):
-                out.append((child, child_canon, extra))
+                out.append((child, extra))
 
     if checkpoint is not None:
         _check_token(checkpoint, task, mode)
@@ -579,16 +570,18 @@ def _drive(
             # the order-1 graph is the child of the order-0 graph by mask 0
             extra = [] if decide is None else decide(Graph(0), [0], eff, stats)[0]
             if extra is not None:
-                inner(Graph(1), b"@", extra)
+                inner(Graph(1), extra)
         return result
     else:
-        stack = [(Graph(1), b"@", [])]
+        stack = [(Graph(1), [])]
     pending = None
     if threads > 1:
         roots = sorted(_expand_frontier(stack, threads * 4, eff.n, expand))
         tokens = [_make_token(task, roots[i::threads], {}, mode, [])
                   for i in range(min(threads, len(roots)))]
         if tokens:
+            import multiprocessing
+
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(processes=len(tokens)) as pool:
                 for part in pool.map(resume, tokens):
@@ -617,7 +610,7 @@ def generate(
     ``checkpoint`` is a resumable token (pass it back via ``checkpoint``).
     """
 
-    def on_class(g: Graph, canon: bytes, extra: list, result: CensusResult) -> None:
+    def on_class(g: Graph, extra: list, result: CensusResult) -> None:
         if visit is not None:
             visit(g)
 
@@ -714,7 +707,7 @@ def _battery(
     return out
 
 
-def _witness(g: Graph, canon: bytes, k: int, decision: _Decision) -> Witness:
+def _witness(g: Graph, k: int, decision: _Decision) -> Witness:
     """The witness of a canonically labelled graph that passed _battery.
 
     Its report is the only step that runs the (k-1)-connectivity test, which
@@ -723,7 +716,7 @@ def _witness(g: Graph, canon: bytes, k: int, decision: _Decision) -> Witness:
     """
     report = _report(g, k, decision)
     assert report.connectivity_ok and report.xu_slack >= 0
-    return Witness(graph6=canon.decode("ascii"), n=g.n, k=k, edges=g.edge_count(), report=report)
+    return Witness(graph6=report.graph6, n=g.n, k=k, edges=g.edge_count(), report=report)
 
 
 def _meets_filters(g: Graph, task: CensusTask) -> bool:
@@ -752,7 +745,7 @@ def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
     decision = _battery(g.without_vertex(g.n - 1), [g.adj[-1]], task, {})[0]
     if decision is None:
         raise ValueError(f"witness {s!r} fails the uniquely {task.k}-colourable decision")
-    w = _witness(g, s.encode("ascii"), task.k, decision)
+    w = _witness(g, task.k, decision)
     if w.to_json_dict() != d:
         raise ValueError(f"witness {s!r} differs from the witness rebuilt from its graph")
     return w
@@ -789,9 +782,9 @@ def find_unique_k_witnesses(
     eff = replace(task, min_degree=max(task.min_degree, k - 1),
                   connected=task.connected or k > 1, edge_window=(lo, hi))
 
-    def on_class(g: Graph, canon: bytes, decision: _Decision, result: CensusResult) -> None:
+    def on_class(g: Graph, decision: _Decision, result: CensusResult) -> None:
         _bump(result.stats, "witnesses")
-        result.witnesses.append(_witness(g, canon, k, decision))
+        result.witnesses.append(_witness(g, k, decision))
 
     def colourable(g: Graph) -> bool:
         return count_colour_partitions(g, k, cap=1) == 1

@@ -66,7 +66,8 @@ class TestClassCounts:
             assert generate(CensusTask(n=n)).stats.get("visited", 0) == want
 
     def test_triangle_free(self):
-        for n, want in [(4, 7), (5, 14), (6, 38), (7, 107), (8, 410), (9, 1897)]:  # A006785
+        for n, want in [(4, 7), (5, 14), (6, 38), (7, 107), (8, 410), (9, 1897),
+                        (10, 12172)]:  # A006785
             r = generate(CensusTask(n=n, triangle_free=True))
             assert r.stats.get("visited", 0) == want
 
@@ -174,6 +175,20 @@ class TestCheckpointResume:
         for other in (forked, res):
             assert [w.to_json_dict() for w in other.witnesses] == want
             assert other.stats == direct.stats
+
+    def test_budgeted_tokens_pinned(self):
+        # pinned while the search stack carried each class's canonical bytes
+        # beside its graph; the tokens must not change without them
+        def sha1(value) -> str:
+            return hashlib.sha1(checkpoint_dumps(value).encode("ascii")).hexdigest()
+
+        plain = generate(CensusTask(n=7, triangle_free=True, budget_nodes=23)).checkpoint
+        assert plain["pending"][:3] == ["C?", "DGC", "D_K"]
+        assert sha1(plain["pending"]) == "3f1926a2c9e13055f18fb4149b3e840bd37f8c17"
+        found = find_unique_k_witnesses(CensusTask(n=7, k=3, budget_nodes=23)).checkpoint
+        assert found["pending"][:3] == ["B?", "C`", "EqKw"]
+        assert sha1(found["pending"]) == "1e17b937e5ab86f155cd95c9fe41701b0909ec22"
+        assert sha1(found["witnesses"]) == "8968c37e10db6a1f4b452bb940f5d2c1e52c4150"
 
     def test_witness_outside_the_task_is_rejected(self):
         # a uniquely 2-colourable graph with 5 edges, in the token of a task
@@ -508,14 +523,14 @@ class TestOrbitPruning:
     def _tree(self, task: CensusTask):
         """Every (child, generators) pair the census accepts below full order."""
         stats: dict[str, int] = {}
-        stack = [(Graph(1), b"@", [])]
+        stack = [(Graph(1), [])]
         while stack:
-            parent, canon, gens = stack.pop()
-            for child, child_canon, child_gens in _extend_parent(task, parent, canon, stats, gens):
-                assert emit_graph6(child).encode("ascii") == child_canon
+            parent, gens = stack.pop()
+            for child, child_gens in _extend_parent(task, parent, gens, stats):
+                assert emit_graph6(child).encode("ascii") == canonical_form(child)
                 if child.n < task.n:
                     yield child, child_gens
-                    stack.append((child, child_canon, child_gens))
+                    stack.append((child, child_gens))
                 else:
                     assert child_gens == []
 
@@ -617,15 +632,42 @@ class TestOrbitShortcut:
         assert generate(CensusTask(**kw)).stats == stats
 
     def test_labellings(self, monkeypatch):
-        # at the parent: 2,984 labellings, 504 of them reduced
+        # before the orbit test: 2,984 labellings, 504 of them reduced; before
+        # McKay's rule alone: 2,482, 2 of them reduced
         calls = _labellings(monkeypatch, CensusTask(n=9, triangle_free=True))
-        assert calls == {"all": 2482, "reduced": 2}
+        assert calls == {"all": 2480, "reduced": 0}
 
-    def test_reduced_labelling_still_runs(self, monkeypatch):
-        # a child whose last vertex is no orbit mate of the new one is still
-        # tested by labelling the reduced graph
+    def test_no_reduced_labelling(self, monkeypatch):
+        # a child whose last vertex is no orbit mate of the new one is
+        # rejected without labelling the reduced graph
         calls = _labellings(monkeypatch, CensusTask(n=8))
-        assert calls["reduced"] >= 1
+        assert calls["reduced"] == 0
+
+    @pytest.mark.parametrize("kw, mode", [
+        *((dict(n=n), "generate") for n in range(2, 9)),
+        (dict(n=9, triangle_free=True), "generate"),
+        (dict(n=8, k=3), "witness"),
+    ])
+    def test_accepted_siblings_never_repeat(self, monkeypatch, kw, mode):
+        # McKay's rule with one mask per orbit keeps at most one child of a
+        # class per parent, with no record of the siblings kept
+        import unicolor.census as census_module
+
+        extend = census_module._extend_parent
+        parents = 0
+
+        def spy(*args):
+            nonlocal parents
+            children = extend(*args)
+            forms = [canonical_form(child) for child, _ in children]
+            assert len(forms) == len(set(forms)), emit_graph6(args[1])
+            parents += 1
+            return children
+
+        monkeypatch.setattr(census_module, "_extend_parent", spy)
+        task = CensusTask(**kw)
+        res = generate(task) if mode == "generate" else find_unique_k_witnesses(task)
+        assert parents == res.stats["parents_processed"] > 0
 
 
 class TestWitnessStatsGolden:
