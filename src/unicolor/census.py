@@ -397,7 +397,7 @@ def _extend_parent(
         if labelled is None or not _in_orbit(autos, r, labelled[1][-1]):
             _bump(stats, "rejected_not_canonical")
             continue
-        placement = labelled[1]
+        canon, placement = labelled
         _bump(stats, f"classes_order_{r1}")
         extra: list[list[int]] | _Decision = []
         if decision is not None:
@@ -408,7 +408,7 @@ def _extend_parent(
             for i, v in enumerate(placement):
                 label[v] = i
             extra = [[label[p[v]] for v in placement] for p in autos]
-        accepted.append((child.permuted(placement), extra))
+        accepted.append((canon, extra))
     return accepted
 
 
@@ -495,7 +495,7 @@ def _canonical_graph(
     if (
         g is None
         or not lo <= g.n <= hi
-        or _canonical(g.n, g.adj, None, autos)[0] != s.encode("ascii")
+        or emit_graph6(_canonical(g.n, g.adj, None, autos)[0]) != s
     ):
         orders = str(lo) if lo == hi else f"{lo}..{hi}"
         raise ValueError(f"{what} {s!r} is not a canonical graph6 of order {orders}")

@@ -442,9 +442,13 @@ class VerificationReport:
     ``uniquely_colourable`` is "yes" (exactly one partition into <= k
     classes, and it has k classes), "no" (any other count, or one partition
     of fewer than k classes), or "unknown-capped" when the search budget ran
-    out before the decision.  ``connectivity_ok`` is None when the budget ran
-    out during the (k-1)-connectivity test.  ``two_class_connected_ok`` is
-    None when chi != k or when the budget ran out before chi = k was known.
+    out before the decision.  ``partition_count`` is the number of
+    partitions into <= k classes found, stopped at the enumeration's cap; when
+    ``count_capped`` is true it is a lower bound, and under "unknown-capped"
+    it counts those reached before the budget ran out.  ``connectivity_ok``
+    is None when the budget ran out during the (k-1)-connectivity test.
+    ``two_class_connected_ok`` is None when chi != k or when the budget ran
+    out before chi = k was known.
     """
 
     graph6: str
@@ -499,9 +503,11 @@ def _decide(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> _De
     if cap < 2:
         raise ColouringError("cap below 2 cannot certify uniqueness")
     first: list[tuple[int, ...]] = []
-    count, capped = 0, False
+    reached = 0
 
     def keep_first(masks: tuple[int, ...]) -> None:
+        nonlocal reached
+        reached += 1
         if not first:
             first.append(masks)
 
@@ -509,8 +515,7 @@ def _decide(g: Graph, k: int, cap: int = 2, budget: Budget | None = None) -> _De
         count, capped = _enumerate_partitions(g, k, cap, keep_first, budget)
         verdict = "yes" if count == 1 and len(first[0]) == k else "no"
     except BudgetExceededError:
-        verdict = "unknown-capped"
-        capped = True
+        count, capped, verdict = reached, True, "unknown-capped"
     colouring = _colouring_of(g.n, first[0]) if first else None
     return _Decision(colouring, count, capped, verdict)
 
@@ -524,10 +529,11 @@ def _report(
     ``two_class_connected_ok`` is None unless chi(g) = k is known: a count of
     1 settles it, a larger count one more enumeration at k - 1 under the
     same budget; a count of 0 or a first partition of fewer than k classes
-    means chi != k."""
+    means chi != k.  Under "unknown-capped" the count is only a lower bound,
+    so one partition does not settle it."""
     n = g.n
     first = decision.colouring
-    chi_is_k = decision.count == 1 and first.k == k
+    chi_is_k = decision.verdict == "yes"
     if decision.count >= 2 and first.k == k:  # chi = k unless g is (k-1)-colourable
         try:
             chi_is_k = count_colour_partitions(g, k - 1, 1, budget) == 0

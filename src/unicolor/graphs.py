@@ -199,17 +199,11 @@ def _g6_order_prefix(n: int) -> str:
 
 def emit_graph6(g: Graph) -> str:
     """Standard graph6 encoding (column-major upper triangle, 6 bits/char)."""
-    return _pack_graph6(g.n, g.adj)
-
-
-def _pack_graph6(n: int, cols: Sequence[int]) -> str:
-    """graph6 of the order-n graph in which i < col are adjacent iff bit i
-    of ``cols[col]`` is set; bits at or above col are ignored."""
-    out = [_g6_order_prefix(n)]
+    out = [_g6_order_prefix(g.n)]
     acc = 0
     nbits = 0
-    for col in range(1, n):
-        row = cols[col]
+    for col in range(1, g.n):
+        row = g.adj[col]
         for i in range(col):
             acc = (acc << 1) | ((row >> i) & 1)
             nbits += 1
@@ -617,7 +611,6 @@ def _canonical_placement(
     rows: Sequence[int],
     cols: Sequence[int] | None = None,
     autos: list[list[int]] | None = None,
-    words: list[int] | None = None,
 ) -> list[int]:
     """Vertex placement maximising the adjacency bitstring among labellings
     that list refinement cells in ascending colour order.
@@ -630,15 +623,15 @@ def _canonical_placement(
 
     Labellings are compared by their words: the word of the vertex placed at
     position j has bit n-1-i set iff it is adjacent to the vertex placed at
-    position i < j, and the search keeps the first leaf whose sequence of
-    words is greatest.  When ``words`` is a list, that sequence is appended
-    to it.  A position is forced when one vertex of its cell is left for
-    it: every position of a one-vertex cell, and the last position of any
-    other cell.  A run of forced positions is placed in a loop inside one
-    search frame, without branching: each word is compared with the best
-    leaf's word at its position, and the run is undone when the frame
-    returns.  A single candidate has no twin to skip, so this is what a
-    frame per position would do.  A discrete refinement is one such run.
+    position i < j, and the search returns the placement of the first leaf
+    whose sequence of words is greatest.  A position is forced when one
+    vertex of its cell is left for it: every position of a one-vertex cell,
+    and the last position of any other cell.  A run of forced positions is
+    placed in a loop inside one search frame, without branching: each word
+    is compared with the best leaf's word at its position, and the run is
+    undone when the frame returns.  A single candidate has no twin to skip,
+    so this is what a frame per position would do.  A discrete refinement
+    is one such run.
 
     When ``autos`` is a list, automorphisms the search meets are appended to
     it as permutation lists (vertex x maps to p[x]): for each leaf equal to
@@ -779,9 +772,7 @@ def _canonical_placement(
                 w[x] ^= bit
 
     rec(0, False)
-    assert best is not None and best_place is not None
-    if words is not None:
-        words.extend(best)
+    assert best_place is not None
     return best_place
 
 
@@ -790,32 +781,18 @@ def _canonical(
     rows: Sequence[int],
     cols: Sequence[int] | None = None,
     autos: list[list[int]] | None = None,
-) -> tuple[bytes, list[int]]:
-    """Canonical graph6 bytes plus the placement that produced them;
-    ``autos`` collects generators of the automorphism group, as in
-    _canonical_placement.
-
-    The bytes are read off the winning leaf's words: column j of the
-    graph6 upper triangle, the adjacencies of position j to positions
-    0..j-1 with position 0 first, is word j shifted right by n-j.  The
-    columns 1..n-1 are concatenated, padded to a multiple of 6 bits and
-    emitted as 6-bit digits.
-    """
-    words: list[int] = []
-    placement = _canonical_placement(n, rows, cols, autos, words)
-    acc = 0
-    for j in range(1, n):
-        acc = (acc << j) | (words[j] >> (n - j))
-    nbits = n * (n - 1) // 2
-    pad = -nbits % 6
-    acc <<= pad
-    digits = bytes(63 + (acc >> s & 63) for s in range(nbits + pad - 6, -1, -6))
-    return _g6_order_prefix(n).encode("ascii") + digits, placement
+) -> tuple[Graph, list[int]]:
+    """The canonically labelled graph plus the placement that labels it:
+    canonical vertex i is vertex placement[i] of ``rows``.  ``autos``
+    collects generators of the automorphism group, as in
+    _canonical_placement."""
+    placement = _canonical_placement(n, rows, cols, autos)
+    return Graph.from_rows(rows).permuted(placement), placement
 
 
 def _canonical_if_last(
     n: int, rows: Sequence[int], v: int, autos: list[list[int]] | None = None
-) -> tuple[bytes, list[int]] | None:
+) -> tuple[Graph, list[int]] | None:
     """_canonical(n, rows), or None when v cannot be the vertex it places last.
 
     The placement lists cells in ascending colour order, and colours rank by
@@ -833,14 +810,15 @@ def _canonical_if_last(
 
 
 def canonical_form(g: Graph) -> bytes:
-    """Canonical representative of g's isomorphism class, as graph6 bytes.
+    """Canonical representative of g's isomorphism class, as graph6 bytes:
+    the graph6 of g canonically labelled.
 
     Two graphs are isomorphic iff their canonical forms are equal; the bytes
     decode (via parse_graph6) to a relabelled copy of g.
     """
     if g.n > CANON_MAX_ORDER:
         raise OrderLimitError(f"canonical form limited to order {CANON_MAX_ORDER}")
-    return _canonical(g.n, g.adj)[0]
+    return emit_graph6(_canonical(g.n, g.adj)[0]).encode("ascii")
 
 
 def is_isomorphic(g1: Graph, g2: Graph) -> bool:
@@ -848,7 +826,9 @@ def is_isomorphic(g1: Graph, g2: Graph) -> bool:
         return False
     if sorted(g1.degrees()) != sorted(g2.degrees()):
         return False
-    return canonical_form(g1) == canonical_form(g2)
+    if g1.n > CANON_MAX_ORDER:
+        raise OrderLimitError(f"canonical form limited to order {CANON_MAX_ORDER}")
+    return _canonical(g1.n, g1.adj)[0] == _canonical(g2.n, g2.adj)[0]
 
 
 # -- DOT export ------------------------------------------------------------

@@ -356,7 +356,8 @@ class TestEachCheckOnce:
         stats = res.stats
         assert res.witnesses
         assert calls["connectivity"] == stats["witnesses"] == len(res.witnesses)
-        assert stats["battery_candidates"] > stats.get("failed_xu", 0)
+        assert stats["battery_candidates"] > stats["witnesses"]
+        assert "failed_xu" not in stats
         assert calls["chromatic"] == 0
 
 

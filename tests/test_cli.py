@@ -45,6 +45,16 @@ class TestCheck:
         assert code == 3
         assert out_lines(out)[0]["uniquely_colourable"] == "unknown-capped"
 
+    def test_budget_exhausted_counts_partitions_reached(self, capsys):
+        # the budget runs out after the first 3-colouring is found
+        code, out, _ = run(capsys, "check", "--catalog", "figure1a", "--k", "3",
+                           "--budget-nodes", "30")
+        assert code == 3
+        (row,) = out_lines(out)
+        assert row["uniquely_colourable"] == "unknown-capped"
+        assert row["partition_count"] == 1 and row["count_capped"] is True
+        assert row["two_class_connected_ok"] is None
+
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "graphs.g6"
         path.write_text("# comment\nEhEG\nC~\n")
