@@ -35,7 +35,7 @@ cell, so a new vertex of lower degree than some vertex of the child, read
 from the parent's degrees and the neighbourhood mask, is rejected at once:
 masks smaller than the parent's top degree are never built.  A new vertex
 outside the top cell is rejected by a refinement that stops in the first
-round in which it leaves that cell; a full refinement's colours are reused
+round in which it leaves that cell; a full refinement's cells are reused
 by the labelling.  No class is lost: an orbit mate of the canonically last
 vertex has its degree and refined colour, so the child that the rule keeps
 passes both tests.
@@ -98,6 +98,7 @@ from .graphs import (
     _canonical,
     _canonical_if_last,
     _component,
+    _neighbour_lists,
     emit_graph6,
     independence_number,
     is_connected,
@@ -252,6 +253,7 @@ def _candidate_masks(
                 return
 
     go(req, base, free)
+    del go  # the search refers to itself; drop that cycle for reference counting
     return out
 
 
@@ -321,6 +323,10 @@ def _extend_parent(
     ``decide(parent, masks, task, stats)`` is called once, on the masks that
     pass the filters, before any child is built, and a child whose decision
     is None is never built or labelled.
+
+    A child is built as rows and neighbour lists, not as a Graph: both are
+    the parent's lists, built once per parent, in which each neighbour of
+    the new vertex r takes the row or list that already has r added.
     """
     n = task.n
     dmin = task.min_degree
@@ -388,11 +394,28 @@ def _extend_parent(
         # children, so it runs on them all before any is built or labelled
         decisions = decide(parent, survivors, task, stats)
         decided = [(m, d) for m, d in zip(survivors, decisions) if d is not None]
+    # the parent's rows and neighbour lists, and copies of them that list r
+    nbrs = _neighbour_lists(rows)
+    rbit = 1 << r
+    rows_r = [row | rbit for row in rows]
+    nbrs_r = [nb + [r] for nb in nbrs]
     accepted: list[tuple[Graph, list[list[int]] | _Decision]] = []
     for mask, decision in decided:
-        child = parent.with_vertex(mask)
+        child_rows = list(rows)
+        child_nbrs = nbrs.copy()
+        mine = []  # the new vertex's neighbours
+        m = mask
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            child_rows[v] = rows_r[v]
+            child_nbrs[v] = nbrs_r[v]
+            mine.append(v)
+        child_rows.append(mask)
+        child_nbrs.append(mine)
         autos: list[list[int]] = []
-        labelled = _canonical_if_last(r1, child.adj, r, autos)
+        labelled = _canonical_if_last(r1, child_rows, r, autos, child_nbrs)
         # McKay's rule: the canonically last vertex must be r or an orbit mate
         if labelled is None or not _in_orbit(autos, r, labelled[1][-1]):
             _bump(stats, "rejected_not_canonical")

@@ -130,6 +130,10 @@ class _CapReached(Exception):
     pass
 
 
+class _Singleton(Exception):
+    """Stops sigma's enumeration at the first partition with a one-vertex class."""
+
+
 # entries one count memo stores at most; past it, lookups go on but nothing new is stored
 _MEMO_MAX = 1 << 16
 
@@ -280,6 +284,8 @@ def _enumerate_partitions(
         rec((1 << n) - 1, 0)
     except _CapReached:
         return count, True
+    finally:
+        del rec  # the search refers to itself; drop that cycle for reference counting
     return count, False
 
 
@@ -339,18 +345,15 @@ def _sigma(g: Graph, chi: int, budget: Budget | None) -> int:
     """
     best = g.n + 1
 
-    class Singleton(Exception):
-        pass
-
     def leaf(masks: tuple[int, ...]) -> None:
         nonlocal best
         best = min(best, *map(int.bit_count, masks))
         if best == 1:
-            raise Singleton
+            raise _Singleton
 
     try:
         _enumerate_partitions(g, chi, None, on_leaf=leaf, budget=budget)
-    except Singleton:
+    except _Singleton:
         pass
     return best
 

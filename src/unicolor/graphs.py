@@ -245,6 +245,8 @@ def parse_graph6(text: str) -> Graph:
             n = (n << 6) | code
         if start == 2 and n < 258048:
             raise Graph6Error(f"graph6 order field '~~' used for order {n} below 258048")
+        if start == 1 and n < 63:
+            raise Graph6Error(f"graph6 order field '~' used for order {n} below 63")
     else:
         n, pos = codes[0], 1
     if n > MAX_ORDER:
@@ -552,6 +554,7 @@ def clique_number(g: Graph) -> int:
             cand &= ~(1 << v)
 
     expand((1 << n) - 1, 0)
+    del expand  # the search refers to itself; drop that cycle for reference counting
     return best
 
 
@@ -570,47 +573,85 @@ def is_triangle_free(g: Graph) -> bool:
 # -- canonical forms -------------------------------------------------------
 
 
-def _refine_colours(n: int, rows: Sequence[int], last: int | None = None) -> list[int] | None:
-    """Iterated neighbourhood refinement; stable, isomorphism-invariant ranks.
+def _neighbour_lists(rows: Sequence[int]) -> list[list[int]]:
+    """Each vertex's neighbours in ascending order, read off its bitmask row."""
+    nbrs = []
+    for r in rows:
+        nb = []
+        while r:
+            b = r & -r
+            nb.append(b.bit_length() - 1)
+            r ^= b
+        nbrs.append(nb)
+    return nbrs
 
-    Each round's signature starts with the previous colour, so a vertex that
-    leaves the top cell never returns to it.  With ``last`` given, the result
-    is None from the first round in which vertex ``last`` is not in the top
-    cell, as it then cannot be placed last by the canonical labelling.
+
+def _refine_colours(
+    n: int, nbrs: Sequence[Sequence[int]], last: int | None = None
+) -> list[list[int]] | None:
+    """Iterated neighbourhood refinement, on the neighbour lists ``nbrs``:
+    the cells of a stable, isomorphism-invariant colouring, in ascending
+    colour order, each listing its vertices in ascending order.  A vertex's
+    colour is the index of its cell.
+
+    The first cells group the vertices by degree.  Each round splits every
+    cell by its vertices' sorted tuples of neighbour colours under the
+    previous round's cells, smallest tuple first, and the refinement ends
+    with the first round that splits no cell.  One-vertex cells cannot
+    split and are skipped.  A tuple is read as one number, the sum over the
+    neighbours of B**(m-1-c) for a neighbour of colour c among m cells,
+    where B is a power of two above every degree: the vertices of one cell
+    have one degree, so a larger sum is a smaller tuple, and a cell's parts
+    follow in descending order of their sums.  A vertex that leaves the top
+    cell never returns to it.
+
+    With ``last`` given, the result is None from the first round in which
+    vertex ``last`` is not in the top cell, as it then cannot be placed last
+    by the canonical labelling.  Each round splits the top cell first, so
+    such a round ends there.
     """
-    cols = [rows[v].bit_count() for v in range(n)]
-    rank = {c: i for i, c in enumerate(sorted(set(cols)))}
-    cols = [rank[c] for c in cols]
-    ncells = len(rank)
-    if last is not None and cols[last] != ncells - 1:
+    by_degree: dict[int, list[int]] = {}
+    for v in range(n):
+        by_degree.setdefault(len(nbrs[v]), []).append(v)
+    cells = list(map(by_degree.__getitem__, sorted(by_degree)))
+    if last is not None and last not in cells[-1]:
         return None
-    while ncells < n:
-        sigs = []
-        for v in range(n):
-            m = rows[v]
-            nb = []
-            while m:
-                b = m & -m
-                nb.append(cols[b.bit_length() - 1])
-                m ^= b
-            nb.sort()
-            sigs.append((cols[v], tuple(nb)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if len(rank) == ncells:
-            return new
-        ncells = len(rank)
-        if last is not None and new[last] != ncells - 1:
-            return None
-        cols = new
-    return cols
+    digit = n.bit_length()  # bits of B
+    weight = [0] * n
+    while len(cells) < n:
+        shift = 0
+        for cell in reversed(cells):
+            w = 1 << shift
+            for v in cell:
+                weight[v] = w
+            shift += digit
+        new: list[list[int]] = []  # the top cell's parts, then every other cell's
+        top = 0  # the number of parts of the top cell
+        for cell in (cells[-1], *cells[:-1]):
+            parts: dict[int, list[int]] = {}
+            if len(cell) > 1:
+                for v in cell:
+                    parts.setdefault(sum(map(weight.__getitem__, nbrs[v])), []).append(v)
+            if len(parts) > 1:
+                new += map(parts.__getitem__, sorted(parts, reverse=True))
+            else:
+                new.append(cell)
+            if not top:
+                top = len(new)
+                if last is not None and last not in new[-1]:
+                    return None
+        if len(new) == len(cells):
+            return cells
+        cells = new[top:] + new[:top]
+    return cells
 
 
 def _canonical_placement(
     n: int,
     rows: Sequence[int],
-    cols: Sequence[int] | None = None,
-    autos: list[list[int]] | None = None,
+    cells: Sequence[Sequence[int]],
+    autos: list[list[int]] | None,
+    nbrs: Sequence[Sequence[int]],
 ) -> list[int]:
     """Vertex placement maximising the adjacency bitstring among labellings
     that list refinement cells in ascending colour order.
@@ -618,8 +659,10 @@ def _canonical_placement(
     Exact: refinement cells are isomorphism-invariant, so restricting the
     search to cell-respecting labellings keeps the form canonical while
     pruning most of the n! permutations.  Twin vertices (identical rows) are
-    interchangeable and only explored once per search node.  ``cols`` are
-    the graph's refined colours when the caller has them already.
+    interchangeable and only explored once per search node.  ``cells`` are
+    the graph's refined cells as _refine_colours lists them, and ``nbrs``
+    its neighbour lists.  A discrete refinement, n one-vertex cells, is its
+    own placement.
 
     Labellings are compared by their words: the word of the vertex placed at
     position j has bit n-1-i set iff it is adjacent to the vertex placed at
@@ -647,25 +690,16 @@ def _canonical_placement(
     each one's transposition with the lowest.  These generate every
     permutation of the class, which holds every later transposition.
     """
-    if n == 0:
-        return []
-    if cols is None:
-        cols = _refine_colours(n, rows)
-    # stable, so each cell lists its vertices in ascending order
-    by_colour = sorted(range(n), key=cols.__getitem__)
-    pos_cells: list[list[int]] = []
+    if len(cells) == n:
+        return [cell[0] for cell in cells]
+    pos_cells: list[Sequence[int]] = []
     cell_mask: list[int] = []  # per position, its cell as a bitmask
-    i = 0
-    while i < n:
-        j = i + 1
-        c = cols[by_colour[i]]
-        mask = 1 << by_colour[i]
-        while j < n and cols[by_colour[j]] == c:
-            mask |= 1 << by_colour[j]
-            j += 1
-        pos_cells += [by_colour[i:j]] * (j - i)
-        cell_mask += [mask] * (j - i)
-        i = j
+    for cell in cells:
+        mask = 0
+        for v in cell:
+            mask |= 1 << v
+        pos_cells += [cell] * len(cell)
+        cell_mask += [mask] * len(cell)
     # per position, the end of the run of forced positions that starts there
     run_end = [n] * (n + 1)
     for i in range(n - 2, -1, -1):
@@ -677,14 +711,6 @@ def _canonical_placement(
     # per-vertex adjacency word against the placed prefix: bit n-1-i is set
     # when the vertex is adjacent to the vertex placed at position i
     w = [0] * n
-    nbrs = []
-    for r in rows:
-        nb = []
-        while r:
-            b = r & -r
-            nb.append(b.bit_length() - 1)
-            r ^= b
-        nbrs.append(nb)
     # the vertex and word placed at each position of the current path
     place = [0] * n
     cur = [0] * n
@@ -772,6 +798,7 @@ def _canonical_placement(
                 w[x] ^= bit
 
     rec(0, False)
+    del rec  # the search refers to itself; drop that cycle for reference counting
     assert best_place is not None
     return best_place
 
@@ -779,34 +806,49 @@ def _canonical_placement(
 def _canonical(
     n: int,
     rows: Sequence[int],
-    cols: Sequence[int] | None = None,
+    cells: Sequence[Sequence[int]] | None = None,
     autos: list[list[int]] | None = None,
+    nbrs: Sequence[Sequence[int]] | None = None,
 ) -> tuple[Graph, list[int]]:
     """The canonically labelled graph plus the placement that labels it:
-    canonical vertex i is vertex placement[i] of ``rows``.  ``autos``
-    collects generators of the automorphism group, as in
-    _canonical_placement."""
-    placement = _canonical_placement(n, rows, cols, autos)
-    return Graph.from_rows(rows).permuted(placement), placement
+    canonical vertex i is vertex placement[i] of ``rows``.  ``cells`` and
+    ``nbrs`` are the graph's refined cells and neighbour lists when the
+    caller has them already.  ``autos`` collects generators of the
+    automorphism group, as in _canonical_placement.  Canonical row i sets
+    the bit of each neighbour's canonical position."""
+    if nbrs is None:
+        nbrs = _neighbour_lists(rows)
+    if cells is None:
+        cells = _refine_colours(n, nbrs)
+    placement = _canonical_placement(n, rows, cells, autos, nbrs)
+    bit = [0] * n  # per vertex, the bit of its canonical position
+    for i, v in enumerate(placement):
+        bit[v] = 1 << i
+    return Graph.from_rows([sum(map(bit.__getitem__, nbrs[v])) for v in placement]), placement
 
 
 def _canonical_if_last(
-    n: int, rows: Sequence[int], v: int, autos: list[list[int]] | None = None
+    n: int,
+    rows: Sequence[int],
+    v: int,
+    autos: list[list[int]] | None,
+    nbrs: Sequence[Sequence[int]],
 ) -> tuple[Graph, list[int]] | None:
-    """_canonical(n, rows), or None when v cannot be the vertex it places last.
+    """_canonical(n, rows), or None when v cannot be the vertex it places
+    last; ``nbrs`` are the graph's neighbour lists.
 
     The placement lists cells in ascending colour order, and colours rank by
     degree first, so its last vertex has maximum degree and lies in the top
     refined cell.  A vertex outside that cell is rejected without labelling,
     in the first refinement round in which it leaves the cell; otherwise the
-    labelling reuses the colours, and fills ``autos`` as
-    _canonical does.  Callers that can read degrees more cheaply than the
-    rows may reject by degree first.
+    labelling reuses the cells, and fills ``autos`` as _canonical does.
+    Callers that can read degrees more cheaply than the neighbour lists may
+    reject by degree first.
     """
-    cols = _refine_colours(n, rows, v)
-    if cols is None:
+    cells = _refine_colours(n, nbrs, v)
+    if cells is None:
         return None
-    return _canonical(n, rows, cols, autos)
+    return _canonical(n, rows, cells, autos, nbrs)
 
 
 def canonical_form(g: Graph) -> bytes:

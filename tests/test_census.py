@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -13,9 +14,11 @@ from conftest import (
     is_automorphism,
     random_graph,
 )
+from unicolor.budget import Budget, BudgetExceededError
 from unicolor.census import (
     CensusTask,
     _battery,
+    _candidate_masks,
     _child_partitions,
     _extend_parent,
     checkpoint_dumps,
@@ -25,11 +28,20 @@ from unicolor.census import (
     resume,
 )
 from unicolor.cli import main
-from unicolor.colouring import _colouring_of, _decide, find_colour_partition
+from unicolor.colouring import (
+    _colouring_of,
+    _decide,
+    _enumerate_partitions,
+    find_colour_partition,
+    sigma,
+)
 from unicolor.graphs import (
     Graph,
+    _canonical,
     canonical_form,
+    clique_number,
     complete_graph,
+    cycle_graph,
     emit_graph6,
     is_connected,
     is_triangle_free,
@@ -389,10 +401,10 @@ class TestDecideBeforeLabelling:
         labelled: list[Graph] = []
         if_last = census_module._canonical_if_last
 
-        def spy(n, rows, v, autos=None):
+        def spy(n, rows, *rest):
             if n == task.n:
                 labelled.append(Graph.from_rows(rows))
-            return if_last(n, rows, v, autos)
+            return if_last(n, rows, *rest)
 
         monkeypatch.setattr(census_module, "_canonical_if_last", spy)
         res = find_unique_k_witnesses(task)
@@ -873,3 +885,41 @@ class TestBatchedDecision:
         assert count == 1 and set(classes) == {0b101, 0b010, 0b1000}
         assert other == (2, None)
         assert leaves == brute_count_partitions(parent, 3) == 2
+
+
+def _out_of_budget() -> None:
+    try:
+        _enumerate_partitions(cycle_graph(9), 3, None, budget=Budget(max_nodes=20))
+    except BudgetExceededError:
+        return
+    raise AssertionError("the budget did not run out")
+
+
+class TestNoCyclicGarbage:
+    # every call below used to leave a reference cycle (a recursive search
+    # closure, or a class made per call) that only the cyclic collector frees
+    @pytest.mark.parametrize("call", [
+        lambda: _canonical(7, cycle_graph(7).adj, autos=[]),
+        lambda: clique_number(cycle_graph(7)),
+        lambda: _candidate_masks(cycle_graph(7).adj, 0, (1 << 7) - 1, 1, 3, True),
+        lambda: _enumerate_partitions(cycle_graph(7), 3, None),
+        lambda: _enumerate_partitions(cycle_graph(7), 3, 2),
+        _out_of_budget,
+        lambda: _child_partitions(Graph(5), list(range(1, 1 << 5)), 3),
+        lambda: _decide(cycle_graph(7), 3),
+        lambda: sigma(cycle_graph(7)),
+        lambda: generate(CensusTask(n=6, triangle_free=True)),
+        lambda: find_unique_k_witnesses(CensusTask(n=6, k=3)),
+    ], ids=["labelling", "clique", "masks", "enumerate", "enumerate-capped",
+            "enumerate-out-of-budget", "child-partitions-settled", "decide", "sigma",
+            "census", "witness-census"])
+    def test_no_cycles_left(self, call):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            call()
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -22,6 +22,7 @@ from unicolor.graphs import (
     _canonical,
     _canonical_if_last,
     _canonical_placement,
+    _neighbour_lists,
     _refine_colours,
     Graph6Error,
     OrderLimitError,
@@ -138,6 +139,8 @@ class TestGraph6:
             parse_graph6("~~??????")  # the eight-byte form below 258,048
         with pytest.raises(Graph6Error, match="order field"):
             parse_graph6("~?")
+        with pytest.raises(Graph6Error, match="order field"):
+            parse_graph6("~??Bw")  # K3 through the four-byte form, which starts at 63
         with pytest.raises(Graph6Error, match="header"):
             parse_graph6(">>graph6<")
 
@@ -409,13 +412,14 @@ class TestCanonicalForm:
         for _ in range(300):
             n = rng.randrange(1, 11)
             g = random_graph(rng, n, rng.random())
-            last = _canonical_placement(n, g.adj)[-1]
-            cols = _refine_colours(n, g.adj)
+            nbrs = _neighbour_lists(g.adj)
+            cells = _refine_colours(n, nbrs)
+            last = _canonical_placement(n, g.adj, cells, None, nbrs)[-1]
             assert g.degree(last) == g.max_degree()
-            assert cols[last] == max(cols)
+            assert last in cells[-1]
             for v in range(n):
-                got = _canonical_if_last(n, g.adj, v)
-                if cols[v] == max(cols):
+                got = _canonical_if_last(n, g.adj, v, None, nbrs)
+                if v in cells[-1]:
                     assert got == _canonical(n, g.adj)
                 else:
                     assert got is None
@@ -477,9 +481,10 @@ class TestAutomorphismGenerators:
 
     def test_only_collected_when_asked(self):
         g = cycle_graph(6)
-        cols = _refine_colours(6, g.adj)
+        nbrs = _neighbour_lists(g.adj)
+        cells = _refine_colours(6, nbrs)
         autos: list[list[int]] = []
-        assert _canonical_if_last(6, g.adj, 5, autos) == _canonical(6, g.adj, cols)
+        assert _canonical_if_last(6, g.adj, 5, autos, nbrs) == _canonical(6, g.adj, cells)
         assert group_order(autos, 6) == 12
 
 
