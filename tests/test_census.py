@@ -896,8 +896,9 @@ def _out_of_budget() -> None:
 
 
 class TestNoCyclicGarbage:
-    # every call below used to leave a reference cycle (a recursive search
-    # closure, or a class made per call) that only the cyclic collector frees
+    # a recursive search closure that still refers to itself, or a class made
+    # per call, is a reference cycle that only the cyclic collector frees;
+    # none of these calls may leave one behind
     @pytest.mark.parametrize("call", [
         lambda: _canonical(7, cycle_graph(7).adj, autos=[]),
         lambda: clique_number(cycle_graph(7)),
