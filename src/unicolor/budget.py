@@ -14,9 +14,9 @@ class Budget:
 
     ``spend`` is called once per search node; it raises
     :class:`BudgetExceededError` when the allowance is gone.  ``spend(nodes)``
-    charges a whole subtree at once, closed-form or memoised, as many units
-    as its nodes would have spent one by one.  The wall clock is only
-    consulted every 4096 nodes to keep the per-node cost negligible.
+    charges a whole memoised subtree at once, as many units as its nodes
+    would have spent one by one.  The wall clock is only consulted every
+    4096 nodes to keep the per-node cost negligible.
     """
 
     __slots__ = ("nodes_left", "deadline", "_tick")

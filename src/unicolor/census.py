@@ -125,6 +125,19 @@ class CensusTask:
     budget_seconds: float | None = None
 
     def __post_init__(self):
+        ints = [self.n, self.k, self.min_degree]
+        if self.budget_nodes is not None:
+            ints.append(self.budget_nodes)
+        if self.edge_window is not None:
+            if not isinstance(self.edge_window, tuple) or len(self.edge_window) != 2:
+                raise ValueError("edge window must be a pair of integers")
+            ints += self.edge_window
+        if not all(type(x) is int for x in ints):
+            raise ValueError("order, k, degree floor, node budget and edge window must be integers")
+        if not all(type(x) is bool for x in (self.triangle_free, self.connected, self.balanced)):
+            raise ValueError("triangle_free, connected and balanced must be booleans")
+        if self.budget_seconds is not None and type(self.budget_seconds) not in (int, float):
+            raise ValueError("time budget must be a number")
         if not 1 <= self.n <= _MAX_CENSUS_ORDER:
             raise ValueError(f"census order must be 1..{_MAX_CENSUS_ORDER}")
         if self.k < 1:
@@ -161,7 +174,7 @@ class CensusTask:
             if d["edge_window"] is not None:
                 d["edge_window"] = tuple(d["edge_window"])
             return cls(**d)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad census task: {exc}") from None
 
 
@@ -502,6 +515,8 @@ def _check_token(token: dict, task: CensusTask | None = None, mode: str | None =
         raise ValueError("checkpoint token has no task")
     if not isinstance(token.get("pending"), list) or not isinstance(token.get("stats"), dict):
         raise ValueError("checkpoint token needs a pending list and a stats object")
+    if not all(type(v) is int and v >= 0 for v in token["stats"].values()):
+        raise ValueError("checkpoint stats must be non-negative integers")
     if not isinstance(token.get("witnesses", []), list):
         raise ValueError("checkpoint witnesses must be a list")
     if task is not None and token["task"] != task.to_dict():
@@ -631,17 +646,17 @@ def generate(
     Classes satisfy: order task.n, triangle-freeness, degree floor, edge
     window and connectivity as requested.  With a budget, the result's
     ``checkpoint`` is a resumable token (pass it back via ``checkpoint``).
+    Balance constrains a colouring, which only the witness search finds, so
+    a balanced task raises ValueError.
     """
+    if task.balanced:
+        raise ValueError("balanced classes apply only to the witness search")
 
     def on_class(g: Graph, extra: list, result: CensusResult) -> None:
         if visit is not None:
             visit(g)
 
     return _drive(task, task, "generate", on_class, checkpoint)
-
-
-class _AllSettled(Exception):
-    """Stops a parent's listing once every child has two partitions."""
 
 
 def _child_partitions(
@@ -663,7 +678,7 @@ def _child_partitions(
     ones: list[tuple[int, ...] | None] = [None] * len(masks)
     pending = list(range(len(masks)))
 
-    def leaf(classes: tuple[int, ...]) -> None:
+    def leaf(classes: tuple[int, ...]) -> bool:
         nonlocal pending
         spare = len(classes) < k
         full = False
@@ -688,14 +703,10 @@ def _child_partitions(
                     ones[i] = (*classes[:slot], classes[slot] | rbit, *classes[slot + 1:])
         if full:
             pending = [i for i in pending if counts[i] < 2]
-            if not pending:
-                raise _AllSettled
+        return not pending
 
     if pending:
-        try:
-            _enumerate_partitions(parent, k, None, on_leaf=leaf)
-        except _AllSettled:
-            pass
+        _enumerate_partitions(parent, k, None, on_leaf=leaf)
     return [(c, ones[i] if c == 1 else None) for i, c in enumerate(counts)]
 
 

@@ -286,20 +286,17 @@ def cmd_census(args: argparse.Namespace) -> int:
     else:
         if args.n is None:
             raise InputError("census needs --n")
-        try:
-            task = CensusTask(
-                n=args.n,
-                k=args.k,
-                triangle_free=args.triangle_free,
-                connected=args.connected,
-                min_degree=args.min_degree,
-                balanced=args.balanced,
-                edge_window=_parse_edge_window(args.edges) if args.edges else None,
-                budget_nodes=args.budget_nodes,
-                budget_seconds=args.budget_seconds,
-            )
-        except ValueError as exc:
-            raise InputError(str(exc)) from None
+        task = CensusTask(
+            n=args.n,
+            k=args.k,
+            triangle_free=args.triangle_free,
+            connected=args.connected,
+            min_degree=args.min_degree,
+            balanced=args.balanced,
+            edge_window=_parse_edge_window(args.edges) if args.edges else None,
+            budget_nodes=args.budget_nodes,
+            budget_seconds=args.budget_seconds,
+        )
         result = find_unique_k_witnesses(task, threads=threads)
     for w in result.witnesses:
         _emit(w.to_json_dict())
@@ -318,16 +315,13 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
-    try:
-        cfg = SamplerConfig(
-            k=args.k,
-            n=args.n,
-            epsilon=_parse_fraction(args.eps),
-            girth_target=args.girth,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    cfg = SamplerConfig(
+        k=args.k,
+        n=args.n,
+        epsilon=_parse_fraction(args.eps),
+        girth_target=args.girth,
+        seed=args.seed,
+    )
     if not cfg.epsilon_in_safe_range:
         _log(
             f"warning: eps = {cfg.epsilon} is outside (0, 1/{4 * cfg.girth_target}); "

@@ -10,8 +10,7 @@ The search colours next the vertex of largest (saturation, degree, -index),
 Brelaz's DSATUR order (Comm. ACM 22, 1979), without scanning: it relabels
 the vertices by descending degree once per call and keeps one bitmask of
 uncoloured vertices per saturation level, so the choice is the lowest bit of
-the highest nonempty level.  When only counting, the leaves below the last
-uncoloured vertex are added, and charged to the budget, in one step.
+the highest nonempty level.  Every partition is reached as one leaf node.
 
 An exact count (no ``on_leaf``, ``cap`` None or above 2) also memoises each
 subtree's (leaves, budget units) on its residual state up to class
@@ -127,11 +126,7 @@ def is_proper(g: Graph, c: Colouring) -> bool:
 
 
 class _CapReached(Exception):
-    pass
-
-
-class _Singleton(Exception):
-    """Stops sigma's enumeration at the first partition with a one-vertex class."""
+    """Stops the enumeration: ``cap`` leaves reached, or ``on_leaf`` returned true."""
 
 
 # entries one count memo stores at most; past it, lookups go on but nothing new is stored
@@ -142,7 +137,7 @@ def _enumerate_partitions(
     g: Graph,
     k: int,
     cap: int | None,
-    on_leaf: Callable[[tuple[int, ...]], None] | None = None,
+    on_leaf: Callable[[tuple[int, ...]], bool | None] | None = None,
     budget: Budget | None = None,
 ) -> tuple[int, bool]:
     """The one search behind counting, search, chi, sigma and the decision.
@@ -150,15 +145,16 @@ def _enumerate_partitions(
     Enumerates every partition of V(g) into at most k non-empty independent
     classes exactly once.  Vertices are chosen by descending saturation
     degree (ties: degree, then lowest index).  Returns (count, capped);
-    capped means enumeration stopped because ``cap`` leaves were reached.
+    capped means enumeration stopped early: ``cap`` leaves were reached, or
+    ``on_leaf`` returned a true value at the last leaf counted.  That is
+    the one way a caller stops the search; ``count`` then includes that
+    leaf, and the budget is charged as for a count capped there.
 
     Position p is the p-th vertex by descending degree (ties: lowest index).
     ``by_sat[s]`` holds the uncoloured positions whose neighbours use s
     classes; a neighbour that gains a class moves up one level.  ``obit[p]``
     is the bit of position p's vertex, so the class masks handed to
-    ``on_leaf`` are in the graph's own labels.  Without ``on_leaf``, the
-    last uncoloured vertex's leaves, one per class it may join, are counted
-    and charged to the budget together.
+    ``on_leaf`` are in the graph's own labels.
 
     When counting with ``cap`` None or above 2, ``memo`` maps the residual
     state (remaining, nopen, sorted open-class neighbourhoods within
@@ -172,15 +168,15 @@ def _enumerate_partitions(
     so the memo holds one entry per distinct state with leaves below it, up
     to ``_MEMO_MAX`` entries, and lives for one call.  A full memo only stops
     storing, so every outcome stays exact.  States with fewer than two
-    uncoloured vertices are not looked up: the bulk step is cheaper.
+    uncoloured vertices are not looked up: one node and its leaves are
+    cheaper to reach than a key is to build.
     """
     n = g.n
     if k < 0:
         raise ValueError("class budget k must be non-negative")
     if n == 0:
-        if on_leaf is not None:
-            on_leaf(())
-        return (1 if cap is None or cap >= 1 else 0, False)
+        stopped = on_leaf is not None and bool(on_leaf(()))
+        return (1 if cap is None or cap >= 1 else 0, stopped)
     if k == 0:
         return 0, False
     rows = g.adj
@@ -216,8 +212,8 @@ def _enumerate_partitions(
             spent += 1
         if not remaining:
             count += 1
-            if on_leaf is not None:
-                on_leaf(tuple(class_masks[:nopen]))
+            if on_leaf is not None and on_leaf(tuple(class_masks[:nopen])):
+                raise _CapReached
             if cap is not None and count >= cap:
                 raise _CapReached
             return
@@ -227,18 +223,8 @@ def _enumerate_partitions(
         level = by_sat[s]
         vbit = level & -level
         rest = remaining ^ vbit
-        if not rest and on_leaf is None:
-            leaves = nopen - s + (nopen < k)
-            if cap is not None:
-                leaves = min(leaves, cap - count)
-            if budget is not None:
-                budget.spend(leaves)
-                spent += leaves
-            count += leaves
-            if count == cap:
-                raise _CapReached
-            return
-        if memo is not None:  # two or more vertices remain, past the bulk step
+        key = None
+        if memo is not None and rest:  # two or more vertices remain
             key = (remaining, nopen, tuple(sorted([nbr[c] & remaining for c in range(nopen)])))
             hit = memo.get(key)
             if hit is not None and (cap is None or count + hit[0] < cap):
@@ -277,7 +263,7 @@ def _enumerate_partitions(
             nbr[c] = old
             by_sat[:] = saved
         by_sat[s] = level
-        if memo is not None and count > count0 and len(memo) < _MEMO_MAX:
+        if key is not None and count > count0 and len(memo) < _MEMO_MAX:
             memo[key] = (count - count0, spent - spent0)
 
     try:
@@ -345,16 +331,12 @@ def _sigma(g: Graph, chi: int, budget: Budget | None) -> int:
     """
     best = g.n + 1
 
-    def leaf(masks: tuple[int, ...]) -> None:
+    def leaf(masks: tuple[int, ...]) -> bool:
         nonlocal best
         best = min(best, *map(int.bit_count, masks))
-        if best == 1:
-            raise _Singleton
+        return best == 1
 
-    try:
-        _enumerate_partitions(g, chi, None, on_leaf=leaf, budget=budget)
-    except _Singleton:
-        pass
+    _enumerate_partitions(g, chi, None, on_leaf=leaf, budget=budget)
     return best
 
 

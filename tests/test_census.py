@@ -65,6 +65,28 @@ class TestTaskValidation:
         with pytest.raises(ValueError):
             CensusTask(n=5, min_degree=-1)
 
+    @pytest.mark.parametrize("bad", [
+        dict(n=True), dict(n=7.0), dict(k=2.5), dict(k=None), dict(min_degree=1.5),
+        dict(budget_nodes="5"), dict(budget_nodes=False), dict(triangle_free="yes"),
+        dict(connected=1), dict(balanced=None), dict(edge_window=[1, 9]),
+        dict(edge_window=(1, 2, 3)), dict(edge_window=(1, 9.0)), dict(edge_window=5),
+        dict(budget_seconds="1"), dict(budget_seconds=True),
+    ], ids=str)
+    def test_field_types(self, bad):
+        with pytest.raises(ValueError):
+            CensusTask(**{"n": 6, **bad})
+
+    def test_well_typed_fields(self):
+        task = CensusTask(n=6, k=2, triangle_free=True, connected=True, min_degree=1,
+                          balanced=True, edge_window=(5, 9), budget_nodes=10, budget_seconds=2)
+        assert CensusTask.from_dict(task.to_dict()) == task
+        assert CensusTask(n=6, budget_seconds=0.5).budget_seconds == 0.5
+
+    def test_generate_refuses_balance(self):
+        # balance constrains a colouring, which only the witness search finds
+        with pytest.raises(ValueError, match="balanced"):
+            generate(CensusTask(n=6, balanced=True))
+
     def test_round_trip_dict(self):
         task = CensusTask(n=6, k=3, triangle_free=True, edge_window=(3, 9))
         assert CensusTask.from_dict(task.to_dict()) == task
@@ -861,7 +883,7 @@ class TestBatchedDecision:
 
             def counted(classes):
                 calls[-1] += 1
-                on_leaf(classes)
+                return on_leaf(classes)
 
             return enumerate_partitions(g, k, cap, on_leaf=counted)
 

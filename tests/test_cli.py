@@ -8,7 +8,7 @@ import pytest
 
 import unicolor
 from unicolor.budget import Budget
-from unicolor.census import checkpoint_loads
+from unicolor.census import checkpoint_loads, resume
 from unicolor.cli import build_parser, main
 from unicolor.colouring import _decide
 from unicolor.constructions import builtin_catalog, nu
@@ -251,6 +251,18 @@ class TestSample:
         assert code == 0 and dot.exists()
 
 
+class TestLibraryInputErrors:
+    # the library raises ValueError for bad values, and main reports it once
+    @pytest.mark.parametrize("argv, line", [
+        (["census", "--n", "15"], "error: census order must be 1..14\n"),
+        (["sample", "--k", "1", "--n", "4", "--eps", "1/20"],
+         "error: sampler needs at least two parts\n"),
+    ], ids=["census-order", "sample-parts"])
+    def test_one_error_line(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", line)
+
+
 class TestCheckConnectivityBudget:
     def test_budget_runs_out_in_connectivity(self, capsys):
         g = builtin_catalog()["figure1a"].graph
@@ -332,6 +344,33 @@ class TestResumeTokens:
         code, _, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("part, key, value", [
+        ("stats", "parents_processed", [1]),
+        ("stats", "parents_processed", -1),
+        ("stats", "parents_processed", True),
+        ("task", "k", 2.5),
+        ("task", "budget_nodes", "5"),
+        ("task", "min_degree", 1.5),
+        ("task", "triangle_free", "yes"),
+        ("task", "n", True),
+        ("task", "edge_window", [9, "12"]),
+        ("task", "budget_seconds", "1"),
+    ], ids=["stats-list", "stats-negative", "stats-bool", "k-float", "budget-str",
+            "min-degree-float", "flag-str", "n-bool", "window-str", "seconds-str"])
+    def test_malformed_field_is_rejected(self, capsys, tmp_path, part, key, value):
+        cp = tmp_path / "token.json"
+        code, _, _ = run(capsys, "census", "--n", "7", "--k", "3",
+                         "--budget-nodes", "5", "--checkpoint", str(cp))
+        token = json.loads(cp.read_text())
+        assert code == 3 and key in token[part]
+        token[part][key] = value
+        with pytest.raises(ValueError):
+            resume(token)
+        cp.write_text(json.dumps(token))
+        code, out, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_witnesses_survive_resume(self, capsys, tmp_path):
         _, direct, _ = run(capsys, "census", "--n", "6", "--k", "2")

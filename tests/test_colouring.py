@@ -200,6 +200,28 @@ class TestEnumerationKernel:
             assert _enumerate_partitions(g, 3, cap, leaves.append, listed) == (min(5, cap), cap <= 5)
             assert _spent(budget) == _spent(listed)
 
+    def test_on_leaf_stop_ends_the_search_like_a_cap(self):
+        # an on_leaf that returns True on its j-th leaf reaches no further
+        # leaf and spends what a count capped at j spends
+        rng = random.Random(4700)
+        cases = [(Graph(3), 3), (cycle_graph(7), 3), (path_graph(5), 3)]
+        cases += [(random_graph(rng, 8, 0.4), 4) for _ in range(3)]
+        for g, k in cases:
+            count, marks, _ = _listing(g, k)
+            for j in range(1, count + 1):
+                reached: list[tuple[int, ...]] = []
+
+                def stop_at_j(masks: tuple[int, ...]) -> bool:
+                    reached.append(masks)
+                    return len(reached) == j
+
+                stopped, capped = Budget(max_nodes=10 ** 9), Budget(max_nodes=10 ** 9)
+                assert _enumerate_partitions(g, k, None, stop_at_j, stopped) == (j, True)
+                assert len(reached) == j
+                assert _enumerate_partitions(g, k, j, budget=capped) == (j, True)
+                assert _spent(stopped) == _spent(capped) == marks[j - 1], (emit_graph6(g), k, j)
+        assert _enumerate_partitions(Graph(0), 2, None, lambda _: True) == (1, True)
+
     def test_first_leaf_is_the_dsatur_greedy_colouring(self):
         rng = random.Random(4400)
         checked = 0
