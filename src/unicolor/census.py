@@ -136,8 +136,10 @@ class CensusTask:
             raise ValueError("order, k, degree floor, node budget and edge window must be integers")
         if not all(type(x) is bool for x in (self.triangle_free, self.connected, self.balanced)):
             raise ValueError("triangle_free, connected and balanced must be booleans")
-        if self.budget_seconds is not None and type(self.budget_seconds) not in (int, float):
-            raise ValueError("time budget must be a number")
+        if self.budget_seconds is not None and (
+            type(self.budget_seconds) not in (int, float) or not self.budget_seconds > 0
+        ):
+            raise ValueError("time budget must be a positive number")  # refuses NaN too
         if not 1 <= self.n <= _MAX_CENSUS_ORDER:
             raise ValueError(f"census order must be 1..{_MAX_CENSUS_ORDER}")
         if self.k < 1:

@@ -70,7 +70,8 @@ class TestTaskValidation:
         dict(budget_nodes="5"), dict(budget_nodes=False), dict(triangle_free="yes"),
         dict(connected=1), dict(balanced=None), dict(edge_window=[1, 9]),
         dict(edge_window=(1, 2, 3)), dict(edge_window=(1, 9.0)), dict(edge_window=5),
-        dict(budget_seconds="1"), dict(budget_seconds=True),
+        dict(budget_seconds="1"), dict(budget_seconds=True), dict(budget_seconds=0),
+        dict(budget_seconds=float("nan")),  # a deadline of NaN never passes
     ], ids=str)
     def test_field_types(self, bad):
         with pytest.raises(ValueError):

@@ -356,8 +356,9 @@ class TestResumeTokens:
         ("task", "n", True),
         ("task", "edge_window", [9, "12"]),
         ("task", "budget_seconds", "1"),
+        ("task", "budget_seconds", float("nan")),
     ], ids=["stats-list", "stats-negative", "stats-bool", "k-float", "budget-str",
-            "min-degree-float", "flag-str", "n-bool", "window-str", "seconds-str"])
+            "min-degree-float", "flag-str", "n-bool", "window-str", "seconds-str", "seconds-nan"])
     def test_malformed_field_is_rejected(self, capsys, tmp_path, part, key, value):
         cp = tmp_path / "token.json"
         code, _, _ = run(capsys, "census", "--n", "7", "--k", "3",
