@@ -25,6 +25,11 @@ where there is one.  Each ``--traced`` workload then runs once more per side
 with ``--trace 1`` and seed 7; those runs, with their per-layer metrics, are
 kept under ``traced``.
 
+A ``__pycache__`` directory under either checkout's ``src/`` stops the script
+before the first pair with exit code 2, naming every such directory and
+deleting none: the workers write no bytecode but still read it, so a cache on
+one side only would shorten that side's ``setup_s``.
+
 A run that prints no result line, or a last line that is not a result, ends
 the series: the output file then holds the pairs completed before it and,
 under ``failed_run``, its side, workload, seed, exit code and the tail of its
@@ -88,6 +93,13 @@ def _run(checkout: str, side: str, workload: str, seed: int, trace: bool = False
                          "exit_code": proc.returncode, "reason": reason,
                          "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]})
     return run
+
+
+def _bytecode_caches(checkout: str) -> list[str]:
+    """Every ``__pycache__`` directory under ``checkout/src``."""
+    return sorted(os.path.join(root, "__pycache__")
+                  for root, dirs, _ in os.walk(os.path.join(checkout, "src"))
+                  if "__pycache__" in dirs)
 
 
 def _quartiles(values: list[float]) -> list[float]:
@@ -158,6 +170,9 @@ def main(argv: list[str] | None = None) -> int:
     for side, path in dirs.items():
         if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
             ap.error(f"{side} checkout {path} has no perfbench/run.py")
+    caches = [cache for path in dirs.values() for cache in _bytecode_caches(path)]
+    if caches:
+        ap.error("cached bytecode would shorten setup_s; remove " + ", ".join(caches))
     workloads = list(dict.fromkeys(args.workload))
     runs: dict[str, list[dict[str, dict]]] = {w: [] for w in workloads}
     traced: dict[str, dict[str, dict]] = {}

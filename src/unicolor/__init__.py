@@ -7,17 +7,9 @@ random constructions that manufacture such graphs, measures the critical
 chromatic number, and runs isomorph-free censuses over small orders.
 """
 
+import importlib
+
 from .budget import Budget, BudgetExceededError
-from .census import (
-    CensusResult,
-    CensusTask,
-    Witness,
-    checkpoint_dumps,
-    checkpoint_loads,
-    find_unique_k_witnesses,
-    generate,
-    resume,
-)
 from .colouring import (
     Colouring,
     ColouringError,
@@ -33,20 +25,6 @@ from .colouring import (
     two_class_connected,
     verify,
     xu_bound_holds,
-)
-from .constructions import (
-    ColouredGraph,
-    ConstructionError,
-    SamplerConfig,
-    bollobas_sauer_sample,
-    builtin_catalog,
-    extend_uniquely,
-    figure1_graphs,
-    independent_transversals,
-    iterate_nu,
-    nesetril_step,
-    nu,
-    remove_short_cycles,
 )
 from .graphs import (
     Graph,
@@ -71,6 +49,28 @@ from .graphs import (
 )
 
 __version__ = "0.1.0"
+
+# census and constructions load the first time one of their names, or the
+# module itself, is looked up here (PEP 562), so that ``import unicolor``
+# and the commands that never use them do not pay for them.
+_LAZY = {
+    **dict.fromkeys(("CensusResult", "CensusTask", "Witness", "checkpoint_dumps",
+                     "checkpoint_loads", "find_unique_k_witnesses", "generate", "resume"),
+                    "census"),
+    **dict.fromkeys(("ColouredGraph", "ConstructionError", "SamplerConfig",
+                     "bollobas_sauer_sample", "builtin_catalog", "extend_uniquely",
+                     "figure1_graphs", "independent_transversals", "iterate_nu",
+                     "nesetril_step", "nu", "remove_short_cycles"), "constructions"),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name, name)
+    if module not in _LAZY.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    loaded = importlib.import_module(f".{module}", __name__)
+    return loaded if module == name else getattr(loaded, name)
+
 
 __all__ = [
     "Budget",

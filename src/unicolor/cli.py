@@ -19,24 +19,10 @@ import math
 import os
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .budget import Budget
-from .census import (
-    CensusTask,
-    checkpoint_dumps,
-    checkpoint_loads,
-    find_unique_k_witnesses,
-)
 from .colouring import Colouring, _decide, _report, chromatic_number, find_colour_partition
-from .constructions import (
-    ColouredGraph,
-    ConstructionError,
-    SamplerConfig,
-    bollobas_sauer_sample,
-    builtin_catalog,
-    iterate_nu,
-    remove_short_cycles,
-)
 from .graphs import (
     Graph,
     emit_graph6,
@@ -44,6 +30,11 @@ from .graphs import (
     parse_graph6,
     to_dot,
 )
+
+# census and constructions are imported by the commands that use them, so
+# that a command loads only the modules it runs.
+if TYPE_CHECKING:
+    from .constructions import ColouredGraph
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -99,6 +90,7 @@ def _budget_from(args: argparse.Namespace) -> Budget | None:
 
 
 def _catalog_entry(name: str) -> ColouredGraph:
+    from .constructions import builtin_catalog
     catalog = builtin_catalog()
     if name not in catalog:
         known = ", ".join(sorted(catalog))
@@ -179,6 +171,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def _coloured_inputs(args: argparse.Namespace) -> list[tuple[str, ColouredGraph]]:
+    from .constructions import ColouredGraph, ConstructionError
     _one_source(args)
     if args.catalog:
         return [(args.catalog, _catalog_entry(args.catalog))]
@@ -193,6 +186,8 @@ def _coloured_inputs(args: argparse.Namespace) -> list[tuple[str, ColouredGraph]
     for i, line in enumerate(_read_lines(args.input)):
         try:
             obj = json.loads(line)
+            if not isinstance(obj["graph6"], str):
+                raise TypeError("graph6 must be a string")
             g = parse_graph6(obj["graph6"])
             colouring = Colouring(obj["colouring"])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -206,6 +201,7 @@ def _coloured_inputs(args: argparse.Namespace) -> list[tuple[str, ColouredGraph]
 
 
 def cmd_nu(args: argparse.Namespace) -> int:
+    from .constructions import iterate_nu
     inputs = _coloured_inputs(args)
     for i, (label, seed) in enumerate(inputs):
         result = iterate_nu(seed, args.iterations)
@@ -238,6 +234,7 @@ def cmd_nu(args: argparse.Namespace) -> int:
 def _write_checkpoint(path: str, token: dict) -> None:
     """Write the token beside ``path``, then rename it over ``path``, so that
     a crash during the write leaves the previous token intact."""
+    from .census import checkpoint_dumps
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="ascii") as fh:
@@ -269,6 +266,7 @@ def _check_checkpoint_path(path: str) -> None:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .census import CensusTask, checkpoint_loads, find_unique_k_witnesses
     threads = args.threads if args.threads is not None else _default_threads()
     if args.checkpoint:
         _check_checkpoint_path(args.checkpoint)
@@ -315,6 +313,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    from .constructions import SamplerConfig, bollobas_sauer_sample, remove_short_cycles
     cfg = SamplerConfig(
         k=args.k,
         n=args.n,

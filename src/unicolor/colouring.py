@@ -58,7 +58,7 @@ class Colouring:
         relabel: dict[int, int] = {}
         canon = []
         for v, c in enumerate(assignment):
-            if not isinstance(c, int) or c < 0:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise ColouringError(f"vertex {v} has invalid class label {c!r}")
             if c not in relabel:
                 relabel[c] = len(relabel)

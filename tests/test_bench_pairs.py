@@ -141,3 +141,24 @@ class TestFailedRun:
         assert bench_pairs.main([str(parent), str(change), "--workload", "check-nu",
                                  "--pairs", "1", "--seed-base", "5", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["failed_run"] is None
+
+
+class TestBytecodeCaches:
+    def test_a_cache_under_src_stops_the_series(self, tmp_path, capsys):
+        parent = _checkout(tmp_path / "parent", {"partitions": 1.0})
+        change = _checkout(tmp_path / "change", {"partitions": 1.0})
+        caches = [parent / "src" / "unicolor" / "__pycache__",
+                  change / "src" / "unicolor" / "sub" / "__pycache__"]
+        for cache in caches:
+            cache.mkdir(parents=True)
+            (cache / "graphs.cpython-311.pyc").write_bytes(b"")
+        (change / "perfbench" / "__pycache__").mkdir()  # outside src: allowed
+        out = tmp_path / "bench.json"
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(parent), str(change), "--workload", "partitions",
+                              "--pairs", "1", "--seed-base", "5", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(str(cache) in err for cache in caches)
+        assert str(change / "perfbench" / "__pycache__") not in err
+        assert all(cache.is_dir() for cache in caches) and not out.exists()

@@ -127,6 +127,17 @@ class TestNu:
         code, _, err = run(capsys, "nu", "--input", str(path))
         assert code == 2 and "colouring" in err
 
+    @pytest.mark.parametrize("payload, words", [
+        ({"graph6": 5, "colouring": [0, 1]}, "expected {\"graph6\""),
+        ({"graph6": "A_", "colouring": [True, False]}, "invalid class label True"),
+    ], ids=["graph6-not-a-string", "bool-labels"])
+    def test_malformed_line_is_an_input_error(self, capsys, tmp_path, payload, words):
+        path = tmp_path / "seeds.jsonl"
+        path.write_text(json.dumps(payload) + "\n")
+        code, out, err = run(capsys, "nu", "--input", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and words in err
+
     def test_improper_colouring_rejected(self, capsys, tmp_path):
         path = tmp_path / "seeds.jsonl"
         path.write_text(json.dumps({"graph6": "Bw", "colouring": [0, 0, 1]}) + "\n")
@@ -257,7 +268,9 @@ class TestLibraryInputErrors:
         (["census", "--n", "15"], "error: census order must be 1..14\n"),
         (["sample", "--k", "1", "--n", "4", "--eps", "1/20"],
          "error: sampler needs at least two parts\n"),
-    ], ids=["census-order", "sample-parts"])
+        (["check", "A_", "--k", "2", "--budget-seconds", "nan"],
+         "error: max_seconds must be positive\n"),
+    ], ids=["census-order", "sample-parts", "check-nan-seconds"])
     def test_one_error_line(self, capsys, argv, line):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", line)
@@ -431,7 +444,7 @@ class TestResumeTokens:
         def crash(token):
             raise RuntimeError("crash while writing the checkpoint")
 
-        monkeypatch.setattr("unicolor.cli.checkpoint_dumps", crash)
+        monkeypatch.setattr("unicolor.census.checkpoint_dumps", crash)
         with pytest.raises(RuntimeError, match="crash"):
             main(["census", "--resume", "--checkpoint", str(cp)])
         assert cp.read_text() == before

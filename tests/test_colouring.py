@@ -62,6 +62,8 @@ class TestColouring:
             Colouring.from_classes(2, [[0], [5]])  # out of range
         with pytest.raises(ColouringError):
             Colouring([0, -1])
+        with pytest.raises(ColouringError, match="True"):
+            Colouring([True, False])  # a bool is no class label
 
     def test_is_proper(self):
         g = path_graph(4)
