@@ -1,44 +1,60 @@
-"""Alternating parent/change pairs of benchmark workloads, summarised as JSON.
+"""Alternating parent/change pairs of benchmark workloads and census tasks, summarised as JSON.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload census-tf10 \
-        --workload partitions --pairs 10 --seed-base 2001 --out BENCH.json
+        --workload partitions --task order12 --pairs 10 --seed-base 2001 --out BENCH.json
 
-PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  ``--workload``
-may be given more than once.  Pair i runs, for each workload W in turn, each
-checkout's own ``perfbench/run.py --workload W --seed (seed-base + i)
---seconds 25 --trace 0`` in that checkout, the parent first in even pairs and
-the change first in odd ones, so a drift in the host's speed falls on both
-sides alike.  Nothing under ``perfbench/`` is imported: each run is a separate
-process whose last stdout line is its result.
+PARENT_DIR and CHANGE_DIR are two checkouts of the repository.  Two kinds of
+job run, each flag repeatable, and at least one job is needed:
 
-The output file holds, per workload, every run (seed, order, exit code,
-result), each side's total of attempted and of failed operations, and for
-each end-to-end metric the median and quartiles of both sides, the pairs the
-change won (ties count for neither side), the parent's quartile spread,
-``gain``: the change won at least nine tenths of the pairs and its median
-beats the parent's by more than that spread, and ``within_bound``: the
+- ``--workload W`` runs the checkout's own ``perfbench/run.py --workload W
+  --seed (seed-base + i) --seconds 25 --trace 0`` in that checkout;
+- ``--task T`` times one witness search (``find_unique_k_witnesses``) that no
+  perfbench workload runs, in a fresh Python process that imports unicolor
+  from the checkout's ``src`` and writes no bytecode.  The tasks take no seed:
+  ``order12`` is the restricted order-12 search of acceptance criterion 6
+  (k = 3, triangle-free, connected, minimum degree 2, balanced, 22..23
+  edges), ``tf11`` the unrestricted triangle-free census at n = 11, k = 3,
+  and ``n6k3`` the census at n = 6, k = 3, small enough for a smoke test.
+
+Pair i runs every workload and then every task, each on both checkouts, the
+parent first in even pairs and the change first in odd ones, so a drift in
+the host's speed falls on both sides alike.  Nothing under ``perfbench/`` is
+imported: each run is a separate process whose last stdout line is its
+result.
+
+The output file holds, per job, every run (seed, order, exit code, metrics)
+and for each end-to-end metric the median and quartiles of both sides, the
+pairs the change won (ties count for neither side), the parent's quartile
+spread, ``gain``: the change won at least nine tenths of the pairs and its
+median beats the parent's by more than that spread, and ``within_bound``: the
 change's median is no worse than the parent's by more than the metric's
 ``bound`` in the parent checkout's ``BENCHMARK.json``, read as a fraction of
-the parent's median (null where the parent declares no bound).  It also
-records the Python version, the CPU count and each checkout's git commit,
-where there is one.  Each ``--traced`` workload then runs once more per side
-with ``--trace 1`` and seed 7; those runs, with their per-layer metrics, are
-kept under ``traced``.
+the parent's median (null where the parent declares no bound).  A workload
+also has each side's total of attempted and of failed operations.  A task,
+whose one metric is the seconds spent in the search (``wall_s``), also has
+the stats and witness graph6 list of the first parent run, each run's output
+sha1, and whether every run on both sides printed the same stats and
+witnesses (``identical_outputs``).  The file also records the Python version,
+the CPU count and each checkout's git commit, where there is one.  Each
+``--traced`` workload then runs once more per side with ``--trace 1`` and
+seed 7; those runs, with their per-layer metrics, are kept under ``traced``.
 
 A ``__pycache__`` directory under either checkout's ``src/`` stops the script
 before the first pair with exit code 2, naming every such directory and
-deleting none: the workers write no bytecode but still read it, so a cache on
+deleting none: the runs write no bytecode but still read it, so a cache on
 one side only would shorten that side's ``setup_s``.
 
 A run that prints no result line, or a last line that is not a result, ends
 the series: the output file then holds the pairs completed before it and,
-under ``failed_run``, its side, workload, seed, exit code and the tail of its
-stderr, and the script exits 1.  Stdlib only.
+under ``failed_run``, its side, job, seed, exit code and the tail of its
+stderr.  The script exits 1, after writing the file, when a run failed or
+when a task's outputs differ anywhere.  Stdlib only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -51,6 +67,29 @@ SECONDS = 25
 TRACE_SEED = 7
 SIDES = ("parent", "change")
 STDERR_TAIL = 20  # lines of a failed run's stderr kept in the report
+
+TASKS = {
+    "order12": dict(n=12, k=3, triangle_free=True, connected=True, min_degree=2,
+                    balanced=True, edge_window=[22, 23]),
+    "tf11": dict(n=11, k=3, triangle_free=True),
+    "n6k3": dict(n=6, k=3),
+}
+
+# prints its result in perfbench's shape: one line whose "metrics" hold values
+_RUNNER = """\
+import json, sys, time
+from unicolor.census import CensusTask, find_unique_k_witnesses
+kw = json.loads(sys.argv[1])
+if kw.get("edge_window") is not None:
+    kw["edge_window"] = tuple(kw["edge_window"])
+task = CensusTask(**kw)
+began = time.perf_counter()
+result = find_unique_k_witnesses(task)
+wall = time.perf_counter() - began
+print(json.dumps({"metrics": {"wall_s": {"value": wall, "unit": "s"}},
+                  "complete": result.complete, "stats": result.stats,
+                  "witnesses": [w.to_json_dict() for w in result.witnesses]}))
+"""
 
 
 def _commit(checkout: str) -> str | None:
@@ -70,11 +109,18 @@ class RunFailed(Exception):
         self.record = record
 
 
-def _run(checkout: str, side: str, workload: str, seed: int, trace: bool = False) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(SECONDS), "--trace", str(int(trace))]
+def _run(checkout: str, side: str, job: str, seed: int, trace: bool = False) -> dict:
+    """One run of workload or task ``job`` in ``checkout``."""
+    if job in TASKS:
+        cmd = [sys.executable, "-c", _RUNNER, json.dumps(TASKS[job])]
+        env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+                   PYTHONDONTWRITEBYTECODE="1")
+    else:
+        cmd = [sys.executable, "perfbench/run.py", "--workload", job, "--seed", str(seed),
+               "--seconds", str(SECONDS), "--trace", str(int(trace))]
+        env = None
     began = time.monotonic()
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     run = {"seed": seed, "exit_code": proc.returncode, "elapsed_s": time.monotonic() - began}
     lines = proc.stdout.splitlines()
     reason = None
@@ -83,14 +129,21 @@ def _run(checkout: str, side: str, workload: str, seed: int, trace: bool = False
     else:
         try:
             result = json.loads(lines[-1])
-            run.update(correct=result["correct"], attempted=result["attempted"],
-                       failed=result["failed"],
-                       metrics={name: m["value"] for name, m in result["metrics"].items()})
+            run["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
+            if job in TASKS:
+                outputs = {key: result[key] for key in ("complete", "stats", "witnesses")}
+                run["outputs_sha1"] = hashlib.sha1(
+                    json.dumps(outputs, sort_keys=True).encode("utf-8")).hexdigest()
+                run["outputs"] = outputs
+            else:
+                run.update(correct=result["correct"], attempted=result["attempted"],
+                           failed=result["failed"])
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             reason = f"malformed result line: {exc!r}"
     if reason is not None:
-        raise RunFailed({"side": side, "workload": workload, "seed": seed, "trace": trace,
-                         "exit_code": proc.returncode, "reason": reason,
+        raise RunFailed({"side": side, "task" if job in TASKS else "workload": job,
+                         "seed": seed, "trace": trace, "exit_code": proc.returncode,
+                         "reason": reason,
                          "stderr_tail": proc.stderr.splitlines()[-STDERR_TAIL:]})
     return run
 
@@ -152,12 +205,33 @@ def summarise(runs: list[dict[str, dict]], bounds: dict[str, dict] | None = None
     return out
 
 
+def _result(job: str, pairs: list[dict[str, dict]], first: dict, bounds: dict) -> dict:
+    """The report's entry for ``job``; ``first`` is a task's first parent output."""
+    if job in TASKS:
+        digests = {pair[side]["outputs_sha1"] for pair in pairs for side in SIDES}
+        entry = {
+            "task": TASKS[job],
+            "identical_outputs": len(digests) == 1,
+            "stats": first.get("stats"),
+            "witnesses": [w["graph6"] for w in first.get("witnesses", [])],
+        }
+    else:
+        entry = {
+            "all_correct": all(pair[side]["correct"] for pair in pairs for side in SIDES),
+            **{total: {side: sum(pair[side][total] for pair in pairs) for side in SIDES}
+               for total in ("attempted", "failed")},
+        }
+    return entry | {"summary": summarise(pairs, bounds) if pairs else {}, "runs": pairs}
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("change", help="checkout of the change")
-    ap.add_argument("--workload", required=True, action="append",
-                    help="a workload to run; repeat for several")
+    ap.add_argument("--workload", action="append", default=[],
+                    help="a perfbench workload to run; repeat for several")
+    ap.add_argument("--task", action="append", default=[], choices=sorted(TASKS),
+                    help="a census task to run; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed-base", type=int, required=True)
     ap.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
@@ -166,31 +240,43 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    workloads, tasks = list(dict.fromkeys(args.workload)), list(dict.fromkeys(args.task))
+    if not workloads and not tasks:
+        ap.error("give at least one --workload or --task")
+    if set(workloads + args.traced) & set(TASKS):
+        ap.error("--workload and --traced take perfbench workloads, not census tasks")
+    needs = ["perfbench/run.py"] * bool(workloads) + ["src/unicolor"] * bool(tasks)
     dirs = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     for side, path in dirs.items():
-        if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
-            ap.error(f"{side} checkout {path} has no perfbench/run.py")
-    caches = [cache for path in dirs.values() for cache in _bytecode_caches(path)]
+        for need in needs:
+            if not os.path.exists(os.path.join(path, need)):
+                ap.error(f"{side} checkout {path} has no {need}")
+    caches = [cache for path in dict.fromkeys(dirs.values()) for cache in _bytecode_caches(path)]
     if caches:
         ap.error("cached bytecode would shorten setup_s; remove " + ", ".join(caches))
-    workloads = list(dict.fromkeys(args.workload))
-    runs: dict[str, list[dict[str, dict]]] = {w: [] for w in workloads}
+    jobs = workloads + tasks
+    runs: dict[str, list[dict[str, dict]]] = {job: [] for job in jobs}
+    first: dict[str, dict] = {}
     traced: dict[str, dict[str, dict]] = {}
     failed_run = None
     try:
         for i in range(args.pairs):
             seed = args.seed_base + i
             order = SIDES if i % 2 == 0 else SIDES[::-1]
-            for workload in workloads:
+            for job in jobs:
                 pair = {}
                 for position, side in enumerate(order):
-                    pair[side] = _run(dirs[side], side, workload, seed)
-                    pair[side]["ran"] = "first" if position == 0 else "second"
-                runs[workload].append(pair)
+                    run = _run(dirs[side], side, job, seed)
+                    outputs = run.pop("outputs", None)
+                    if side == "parent" and outputs is not None:
+                        first.setdefault(job, outputs)
+                    run["ran"] = "first" if position == 0 else "second"
+                    pair[side] = run
+                runs[job].append(pair)
                 walls = ", ".join(
                     f"{side} {pair[side]['metrics'].get('wall_s', float('nan')):.3f} s"
                     for side in SIDES)
-                print(f"pair {i + 1}/{args.pairs} (seed {seed}) {workload}: {walls}",
+                print(f"pair {i + 1}/{args.pairs} (seed {seed}) {job}: {walls}",
                       file=sys.stderr)
         for workload in dict.fromkeys(args.traced):
             traced[workload] = {side: _run(dirs[side], side, workload, TRACE_SEED, trace=True)
@@ -201,18 +287,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"run failed, report keeps the completed pairs: {json.dumps(failed_run)}",
               file=sys.stderr)
     bounds = _bounds(dirs["parent"])
-    results = {
-        workload: {
-            "all_correct": all(pair[side]["correct"] for pair in pairs for side in SIDES),
-            **{total: {side: sum(pair[side][total] for pair in pairs) for side in SIDES}
-               for total in ("attempted", "failed")},
-            "summary": summarise(pairs, bounds) if pairs else {},
-            "runs": pairs,
-        }
-        for workload, pairs in runs.items()
-    }
+    results = {job: _result(job, pairs, first.get(job, {}), bounds)
+               for job, pairs in runs.items()}
     report = {
         "workloads": workloads,
+        "tasks": tasks,
         "seconds": SECONDS,
         "pairs": args.pairs,
         "seeds": [args.seed_base + i for i in range(args.pairs)],
@@ -220,7 +299,8 @@ def main(argv: list[str] | None = None) -> int:
         "cpu_count": os.cpu_count(),
         "machine": platform.machine(),
         "commits": {side: _commit(path) for side, path in dirs.items()},
-        "all_correct": all(r["all_correct"] for r in results.values()),
+        "all_correct": all(results[w]["all_correct"] for w in workloads),
+        "identical_outputs": all(results[t]["identical_outputs"] for t in tasks),
         "failed_run": failed_run,
         "results": results,
         "traced": traced,
@@ -228,11 +308,13 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="ascii") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({workload: {name: s["median"] | {"gain": s["gain"],
-                                                      "within_bound": s["within_bound"]}
-                                 for name, s in r["summary"].items()}
-                      for workload, r in results.items()}))
-    return 0 if failed_run is None else 1
+    print(json.dumps({job: {name: s["median"] | {"gain": s["gain"],
+                                                 "within_bound": s["within_bound"]}
+                            for name, s in r["summary"].items()}
+                      for job, r in results.items()}))
+    if not report["identical_outputs"]:
+        print("census outputs differ between runs", file=sys.stderr)
+    return 0 if failed_run is None and report["identical_outputs"] else 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,9 @@ class Budget:
     def __init__(self, max_nodes: int | None = None, max_seconds: float | None = None):
         if max_nodes is not None and (type(max_nodes) is not int or max_nodes < 0):
             raise ValueError("max_nodes must be a non-negative integer")
-        if max_seconds is not None and not max_seconds > 0:  # NaN is not > 0
+        if max_seconds is not None and (
+            type(max_seconds) not in (int, float) or not max_seconds > 0  # NaN is not > 0
+        ):
             raise ValueError("max_seconds must be positive")
         self.nodes_left = max_nodes
         self.deadline = None if max_seconds is None else time.monotonic() + max_seconds

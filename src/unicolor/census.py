@@ -126,20 +126,15 @@ class CensusTask:
 
     def __post_init__(self):
         ints = [self.n, self.k, self.min_degree]
-        if self.budget_nodes is not None:
-            ints.append(self.budget_nodes)
         if self.edge_window is not None:
             if not isinstance(self.edge_window, tuple) or len(self.edge_window) != 2:
                 raise ValueError("edge window must be a pair of integers")
             ints += self.edge_window
         if not all(type(x) is int for x in ints):
-            raise ValueError("order, k, degree floor, node budget and edge window must be integers")
+            raise ValueError("order, k, degree floor and edge window must be integers")
         if not all(type(x) is bool for x in (self.triangle_free, self.connected, self.balanced)):
             raise ValueError("triangle_free, connected and balanced must be booleans")
-        if self.budget_seconds is not None and (
-            type(self.budget_seconds) not in (int, float) or not self.budget_seconds > 0
-        ):
-            raise ValueError("time budget must be a positive number")  # refuses NaN too
+        self.budget()  # Budget owns the budget rules
         if not 1 <= self.n <= _MAX_CENSUS_ORDER:
             raise ValueError(f"census order must be 1..{_MAX_CENSUS_ORDER}")
         if self.k < 1:

@@ -72,17 +72,6 @@ def _parse_fraction(text: str) -> Fraction:
         raise InputError(f"cannot parse {text!r} as a fraction") from None
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("UNICOLOR_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputError(f"UNICOLOR_THREADS must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError("UNICOLOR_THREADS must be at least 1")
-    return value
-
-
 def _budget_from(args: argparse.Namespace) -> Budget | None:
     if args.budget_nodes is None and args.budget_seconds is None:
         return None
@@ -267,7 +256,6 @@ def _check_checkpoint_path(path: str) -> None:
 
 def cmd_census(args: argparse.Namespace) -> int:
     from .census import CensusTask, checkpoint_loads, find_unique_k_witnesses
-    threads = args.threads if args.threads is not None else _default_threads()
     if args.checkpoint:
         _check_checkpoint_path(args.checkpoint)
     if args.resume:
@@ -280,7 +268,7 @@ def cmd_census(args: argparse.Namespace) -> int:
             raise InputError(f"cannot load checkpoint: {exc}") from None
         task = CensusTask.from_dict(token["task"])
         _log(f"resuming census from {args.checkpoint} ({len(token['pending'])} pending branches)")
-        result = find_unique_k_witnesses(task, checkpoint=token)
+        result = find_unique_k_witnesses(task, threads=args.threads, checkpoint=token)
     else:
         if args.n is None:
             raise InputError("census needs --n")
@@ -295,7 +283,7 @@ def cmd_census(args: argparse.Namespace) -> int:
             budget_nodes=args.budget_nodes,
             budget_seconds=args.budget_seconds,
         )
-        result = find_unique_k_witnesses(task, threads=threads)
+        result = find_unique_k_witnesses(task, threads=args.threads)
     for w in result.witnesses:
         _emit(w.to_json_dict())
     _log("census stats: " + json.dumps(dict(sorted(result.stats.items()))))
@@ -396,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=0, metavar="D")
     p.add_argument("--balanced", action="store_true", help="demand equal class sizes")
     _add_budget(p)
-    p.add_argument("--threads", type=int, help="worker processes (default $UNICOLOR_THREADS or 1)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--checkpoint", metavar="PATH", help="where to store/load the resume token")
     p.add_argument("--resume", action="store_true", help="continue from --checkpoint")
     p.set_defaults(func=cmd_census)

@@ -1,11 +1,15 @@
 import importlib.util
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
+from unicolor.census import CensusTask, find_unique_k_witnesses
+
+ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py")
+    "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
@@ -162,3 +166,115 @@ class TestBytecodeCaches:
         assert all(str(cache) in err for cache in caches)
         assert str(change / "perfbench" / "__pycache__") not in err
         assert all(cache.is_dir() for cache in caches) and not out.exists()
+
+    def test_one_checkout_on_both_sides_names_each_cache_once(self, tmp_path, capsys):
+        checkout = _checkout(tmp_path / "both", {"partitions": 1.0})
+        cache = checkout / "src" / "unicolor" / "__pycache__"
+        cache.mkdir(parents=True)
+        with pytest.raises(SystemExit):
+            bench_pairs.main([str(checkout), str(checkout), "--workload", "partitions",
+                              "--seed-base", "5", "--out", str(tmp_path / "bench.json")])
+        assert capsys.readouterr().err.count(str(cache)) == 1
+
+
+_FAKE_CENSUS = """\
+class CensusTask:
+    def __init__(self, **kw):
+        self.kw = kw
+
+
+class _Result:
+    complete = True
+    stats = STATS
+    witnesses = []
+
+
+def find_unique_k_witnesses(task):
+    if STATS is None:
+        raise RuntimeError("no census here")
+    return _Result()
+"""
+
+
+def _census_checkout(root: Path, stats: dict | None) -> Path:
+    package = root / "src" / "unicolor"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "census.py").write_text(f"STATS = {stats!r}\n" + _FAKE_CENSUS)
+    return root
+
+
+def _pairs(parent: Path, change: Path, out: Path, *args: str) -> tuple[int, dict]:
+    code = bench_pairs.main([str(parent), str(change), *args, "--seed-base", "1",
+                             "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+class TestCensusTasks:
+    def test_repo_on_both_sides(self, tmp_path):
+        checkout = tmp_path / "repo"
+        shutil.copytree(ROOT / "src", checkout / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        code, report = _pairs(checkout, checkout, tmp_path / "pairs.json", "--task", "n6k3",
+                              "--pairs", "2")
+        assert code == 0 and report["failed_run"] is None
+        assert report["tasks"] == ["n6k3"] and report["identical_outputs"]
+        result = report["results"]["n6k3"]
+        direct = find_unique_k_witnesses(CensusTask(n=6, k=3))
+        assert result["stats"] == direct.stats
+        assert result["witnesses"] == [w.graph6 for w in direct.witnesses]
+        assert [pair["parent"]["ran"] for pair in result["runs"]] == ["first", "second"]
+        wall = result["summary"]["wall_s"]
+        assert set(wall["median"]) == {"parent", "change"}
+        assert wall["pairs_won_by_change"] + wall["pairs_lost_by_change"] <= 2
+
+    def test_different_outputs_fail(self, tmp_path):
+        parent = _census_checkout(tmp_path / "parent", {"visited": 1})
+        change = _census_checkout(tmp_path / "change", {"visited": 2})
+        code, report = _pairs(parent, change, tmp_path / "pairs.json", "--task", "tf11",
+                              "--pairs", "1")
+        assert code == 1 and report["failed_run"] is None
+        assert not report["identical_outputs"]
+        assert report["results"]["tf11"]["stats"] == {"visited": 1}
+
+    def test_failed_run_keeps_the_completed_pairs(self, tmp_path):
+        parent = _census_checkout(tmp_path / "parent", {"visited": 1})
+        change = _census_checkout(tmp_path / "change", None)
+        code, report = _pairs(parent, change, tmp_path / "pairs.json", "--task", "order12")
+        assert code == 1
+        failed = report["failed_run"]
+        assert failed["side"] == "change" and failed["task"] == "order12"
+        assert "no census here" in "\n".join(failed["stderr_tail"])
+        assert report["results"]["order12"]["runs"] == []
+
+    def test_workloads_and_tasks_in_one_series(self, tmp_path, monkeypatch):
+        # the task runs themselves must keep src/ free of bytecode caches
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        parent = _census_checkout(_checkout(tmp_path / "parent", {"check-nu": 2.0}),
+                                  {"visited": 1})
+        change = _census_checkout(_checkout(tmp_path / "change", {"check-nu": 1.0}),
+                                  {"visited": 1})
+        code, report = _pairs(parent, change, tmp_path / "pairs.json", "--workload",
+                              "check-nu", "--task", "n6k3", "--pairs", "3")
+        assert code == 0 and report["failed_run"] is None
+        assert (report["workloads"], report["tasks"]) == (["check-nu"], ["n6k3"])
+        assert report["all_correct"] and report["identical_outputs"]
+        check, task = report["results"]["check-nu"], report["results"]["n6k3"]
+        assert check["summary"]["wall_s"]["median"] == {"parent": 2.0, "change": 1.0}
+        assert set(task["summary"]) == {"wall_s"} and task["stats"] == {"visited": 1}
+        for result in (check, task):
+            assert [pair["parent"]["ran"] for pair in result["runs"]] == \
+                ["first", "second", "first"]
+        assert all(len(pair[side]["outputs_sha1"]) == 40
+                   for pair in task["runs"] for side in ("parent", "change"))
+        assert not list(tmp_path.rglob("__pycache__"))
+
+    @pytest.mark.parametrize("args", [
+        [], ["--workload", "order12"], ["--task", "n6k3", "--traced", "tf11"],
+    ], ids=["no-job", "task-as-workload", "task-traced"])
+    def test_bad_job_lists_are_refused(self, tmp_path, args):
+        checkout = _census_checkout(tmp_path / "c", {"visited": 1})
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main([str(checkout), str(checkout), *args, "--seed-base", "1",
+                              "--out", str(tmp_path / "bench.json")])
+        assert exc.value.code == 2

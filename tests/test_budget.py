@@ -6,7 +6,7 @@ from unicolor.budget import Budget, BudgetExceededError
 
 
 class TestBudgetValidation:
-    @pytest.mark.parametrize("seconds", [math.nan, 0, -1.0, -math.inf])
+    @pytest.mark.parametrize("seconds", [math.nan, 0, -1.0, -math.inf, True, "5"])
     def test_time_budget_must_be_positive(self, seconds):
         with pytest.raises(ValueError, match="max_seconds"):
             Budget(max_seconds=seconds)

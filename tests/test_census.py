@@ -67,8 +67,8 @@ class TestTaskValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(n=True), dict(n=7.0), dict(k=2.5), dict(k=None), dict(min_degree=1.5),
-        dict(budget_nodes="5"), dict(budget_nodes=False), dict(triangle_free="yes"),
-        dict(connected=1), dict(balanced=None), dict(edge_window=[1, 9]),
+        dict(budget_nodes="5"), dict(budget_nodes=False), dict(budget_nodes=-1),
+        dict(triangle_free="yes"), dict(connected=1), dict(balanced=None), dict(edge_window=[1, 9]),
         dict(edge_window=(1, 2, 3)), dict(edge_window=(1, 9.0)), dict(edge_window=5),
         dict(budget_seconds="1"), dict(budget_seconds=True), dict(budget_seconds=0),
         dict(budget_seconds=float("nan")),  # a deadline of NaN never passes

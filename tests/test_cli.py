@@ -220,13 +220,21 @@ class TestCensus:
         direct = run(capsys, "census", "--n", "5", "--k", "2")[1]
         assert sorted(out.splitlines()) == sorted(direct.splitlines())
 
-    def test_threads_env_fallback(self, capsys, monkeypatch):
+    def test_threads_come_from_the_flag_alone(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("UNICOLOR_THREADS", "2")
-        code, out, _ = run(capsys, "census", "--n", "4", "--k", "2")
-        assert code == 0 and len(out_lines(out)) == 3
-        monkeypatch.setenv("UNICOLOR_THREADS", "zero")
-        code, _, err = run(capsys, "census", "--n", "4", "--k", "2")
-        assert code == 2 and "UNICOLOR_THREADS" in err
+        cp = tmp_path / "t.json"
+        code, _, _ = run(capsys, "census", "--n", "7", "--k", "3",
+                         "--budget-nodes", "5", "--checkpoint", str(cp))
+        assert code == 3 and cp.exists()
+
+    def test_resume_refuses_threads(self, capsys, tmp_path):
+        cp = tmp_path / "t.json"
+        assert run(capsys, "census", "--n", "7", "--k", "3", "--budget-nodes", "5",
+                   "--checkpoint", str(cp))[0] == 3
+        code, out, err = run(capsys, "census", "--resume", "--checkpoint", str(cp),
+                             "--threads", "2")
+        assert (code, out) == (2, "")
+        assert "single-worker" in err and "census stats" not in err
 
 
 class TestSample:
@@ -270,7 +278,9 @@ class TestLibraryInputErrors:
          "error: sampler needs at least two parts\n"),
         (["check", "A_", "--k", "2", "--budget-seconds", "nan"],
          "error: max_seconds must be positive\n"),
-    ], ids=["census-order", "sample-parts", "check-nan-seconds"])
+        (["census", "--n", "5", "--budget-seconds", "nan"],
+         "error: max_seconds must be positive\n"),
+    ], ids=["census-order", "sample-parts", "check-nan-seconds", "census-nan-seconds"])
     def test_one_error_line(self, capsys, argv, line):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", line)
