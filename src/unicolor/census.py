@@ -80,8 +80,9 @@ the stored witness matches.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError
 from .colouring import (
@@ -135,6 +136,9 @@ class CensusTask:
         if not all(type(x) is bool for x in (self.triangle_free, self.connected, self.balanced)):
             raise ValueError("triangle_free, connected and balanced must be booleans")
         self.budget()  # Budget owns the budget rules
+        if self.budget_nodes == 0:
+            # a run must expand its first parent, or its resume chain never ends
+            raise ValueError("census node budget must be at least 1")
         if not 1 <= self.n <= _MAX_CENSUS_ORDER:
             raise ValueError(f"census order must be 1..{_MAX_CENSUS_ORDER}")
         if self.k < 1:
@@ -175,8 +179,7 @@ class CensusTask:
             raise ValueError(f"bad census task: {exc}") from None
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One graph that passed the full uniquely-k-colourable battery."""
 
     graph6: str
@@ -186,13 +189,9 @@ class Witness:
     report: VerificationReport
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "n": self.n,
-            "k": self.k,
-            "edges": self.edges,
-            "report": self.report.to_json_dict(),
-        }
+        d = self._asdict()
+        d["report"] = self.report._asdict()
+        return d
 
 
 @dataclass
@@ -453,16 +452,21 @@ def _census_loop(
     """Depth-first drive of ``expand``, which pushes a parent's children to
     be expanded onto the stack of (canonically labelled graph, generators of
     its group) entries.  Returns the pending graphs as canonical graph6
-    strings if the budget runs out, or None on completion."""
+    strings if the budget runs out, or None on completion.  The clock is not
+    checked before the first parent, so each run of a resume chain expands
+    at least one parent and the chain ends."""
+    first = True
     while stack:
         parent, gens = stack.pop()
         if budget is not None:
             try:
                 budget.spend(1)
-                budget.check_time()
+                if not first:
+                    budget.check_time()
             except BudgetExceededError:
                 stack.append((parent, gens))
                 return [emit_graph6(g) for g, _ in stack]
+        first = False
         expand(parent, gens, stack)
     return None
 
@@ -576,8 +580,8 @@ def _drive(
     the pending roots of ``checkpoint``, whose witnesses are rebuilt and
     checked, or from the order-1 root.  With ``threads`` > 1 the tree is
     expanded breadth-first and its roots are shared among forked workers,
-    each resuming a witness token of its own.  When the budget of ``eff``
-    runs out, the result carries the resume token.
+    at most one per CPU, each resuming a witness token of its own.  When the
+    budget of ``eff`` runs out, the result carries the resume token.
     """
     result = CensusResult(task=task)
     stats = result.stats
@@ -610,6 +614,7 @@ def _drive(
     else:
         stack = [(Graph(1), [])]
     pending = None
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         roots = sorted(_expand_frontier(stack, threads * 4, eff.n, expand))
         tokens = [_make_token(task, roots[i::threads], {}, mode, [])

@@ -267,8 +267,9 @@ def cmd_census(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load checkpoint: {exc}") from None
         task = CensusTask.from_dict(token["task"])
-        _log(f"resuming census from {args.checkpoint} ({len(token['pending'])} pending branches)")
         result = find_unique_k_witnesses(task, threads=args.threads, checkpoint=token)
+        # logged once the library has accepted the resume
+        _log(f"resuming census from {args.checkpoint} ({len(token['pending'])} pending branches)")
     else:
         if args.n is None:
             raise InputError("census needs --n")
@@ -384,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=0, metavar="D")
     p.add_argument("--balanced", action="store_true", help="demand equal class sizes")
     _add_budget(p)
-    p.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes, at most one per CPU (default 1)")
     p.add_argument("--checkpoint", metavar="PATH", help="where to store/load the resume token")
     p.add_argument("--resume", action="store_true", help="continue from --checkpoint")
     p.set_defaults(func=cmd_census)

@@ -25,7 +25,6 @@ memo stops storing at ``_MEMO_MAX`` entries, so its memory stays bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -420,8 +419,7 @@ def xu_bound_holds(g: Graph, k: int) -> tuple[bool, int]:
     return slack >= 0, slack
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of the full uniquely-k-colourable battery on one graph.
 
     ``uniquely_colourable`` is "yes" (exactly one partition into <= k
@@ -448,18 +446,7 @@ class VerificationReport:
     uniquely_colourable: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "k": self.k,
-            "min_degree_ok": self.min_degree_ok,
-            "connected_ok": self.connected_ok,
-            "connectivity_ok": self.connectivity_ok,
-            "xu_slack": self.xu_slack,
-            "two_class_connected_ok": self.two_class_connected_ok,
-            "partition_count": self.partition_count,
-            "count_capped": self.count_capped,
-            "uniquely_colourable": self.uniquely_colourable,
-        }
+        return self._asdict()
 
 
 class _Decision(NamedTuple):

@@ -8,7 +8,14 @@ two routes is meaningful evidence of correctness.
 from __future__ import annotations
 
 import itertools
+import os
 import random
+import sys
+
+# a bytecode cache under src/ would shorten the benchmark's setup_s, so
+# neither the suite nor the interpreters it starts write one
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from unicolor.graphs import Graph
 

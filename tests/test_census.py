@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import math
+import os
 import random
 from dataclasses import replace
 
@@ -67,7 +68,7 @@ class TestTaskValidation:
 
     @pytest.mark.parametrize("bad", [
         dict(n=True), dict(n=7.0), dict(k=2.5), dict(k=None), dict(min_degree=1.5),
-        dict(budget_nodes="5"), dict(budget_nodes=False), dict(budget_nodes=-1),
+        dict(budget_nodes="5"), dict(budget_nodes=False), dict(budget_nodes=-1), dict(budget_nodes=0),
         dict(triangle_free="yes"), dict(connected=1), dict(balanced=None), dict(edge_window=[1, 9]),
         dict(edge_window=(1, 2, 3)), dict(edge_window=(1, 9.0)), dict(edge_window=5),
         dict(budget_seconds="1"), dict(budget_seconds=True), dict(budget_seconds=0),
@@ -210,6 +211,20 @@ class TestCheckpointResume:
         for other in (forked, res):
             assert [w.to_json_dict() for w in other.witnesses] == want
             assert other.stats == direct.stats
+
+    def test_time_budget_chain_ends(self):
+        # each run expands at least its first parent, however short its clock
+        direct = find_unique_k_witnesses(CensusTask(n=5, k=2))
+        res = find_unique_k_witnesses(CensusTask(n=5, k=2, budget_seconds=1e-9))
+        runs = 1
+        while not res.complete:
+            assert runs < direct.stats["parents_processed"]
+            res = resume(checkpoint_loads(checkpoint_dumps(res.checkpoint)))
+            runs += 1
+        assert direct.stats["parents_processed"] == 13
+        assert [w.to_json_dict() for w in res.witnesses] == [
+            w.to_json_dict() for w in direct.witnesses]
+        assert res.stats == direct.stats
 
     def test_budgeted_tokens_pinned(self):
         # pinned while the search stack carried each class's canonical bytes
@@ -604,6 +619,29 @@ class TestOrbitPruning:
         task = CensusTask(n=7, k=3)
         seq = find_unique_k_witnesses(task)
         par = find_unique_k_witnesses(task, threads=2)
+        assert par.witnesses == seq.witnesses
+        assert par.stats == seq.stats
+
+    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
+        import multiprocessing
+
+        pools = []
+        get_context = multiprocessing.get_context
+
+        class Recording:
+            def __init__(self, method):
+                self.ctx = get_context(method)
+
+            def Pool(self, processes):
+                pools.append(processes)
+                return self.ctx.Pool(processes=processes)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "get_context", Recording)
+        task = CensusTask(n=7, k=3)
+        seq = find_unique_k_witnesses(task)
+        par = find_unique_k_witnesses(task, threads=64)
+        assert pools == [2]
         assert par.witnesses == seq.witnesses
         assert par.stats == seq.stats
 

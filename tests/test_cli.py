@@ -235,6 +235,7 @@ class TestCensus:
                              "--threads", "2")
         assert (code, out) == (2, "")
         assert "single-worker" in err and "census stats" not in err
+        assert "resuming" not in err
 
 
 class TestSample:
@@ -280,7 +281,10 @@ class TestLibraryInputErrors:
          "error: max_seconds must be positive\n"),
         (["census", "--n", "5", "--budget-seconds", "nan"],
          "error: max_seconds must be positive\n"),
-    ], ids=["census-order", "sample-parts", "check-nan-seconds", "census-nan-seconds"])
+        (["census", "--n", "6", "--k", "3", "--budget-nodes", "0"],
+         "error: census node budget must be at least 1\n"),
+    ], ids=["census-order", "sample-parts", "check-nan-seconds", "census-nan-seconds",
+            "census-zero-nodes"])
     def test_one_error_line(self, capsys, argv, line):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", line)

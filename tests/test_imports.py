@@ -2,7 +2,8 @@
 
 ``import unicolor`` loads ``budget``, ``graphs`` and ``colouring``; census and
 constructions load the first time they are used, and each CLI command loads
-only the modules it runs.
+only the modules it runs.  Only census and constructions use ``dataclasses``,
+which loads ``inspect``, so ``check`` loads neither.
 """
 
 import json
@@ -15,7 +16,8 @@ import pytest
 
 import unicolor
 
-LAZY = ("unicolor.census", "unicolor.constructions")
+DATACLASSES = ("dataclasses", "inspect")
+LAZY = ("unicolor.census", "unicolor.constructions", *DATACLASSES)
 
 
 def _run(code: str) -> str:
@@ -29,7 +31,7 @@ def _run(code: str) -> str:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The lazily loaded modules that are in ``sys.modules`` after ``code``."""
+    """The modules of LAZY that are in ``sys.modules`` after ``code``."""
     out = _run(code + f"\nimport sys\nprint(json.dumps([m for m in {LAZY!r} if m in sys.modules]))")
     return set(json.loads(out.splitlines()[-1]))
 
@@ -38,10 +40,10 @@ class TestModulesLoaded:
     @pytest.mark.parametrize("code, loaded", [
         ("import unicolor, unicolor.cli", set()),
         ("main(['check', 'Bw', '--k', '3'])", set()),
-        ("main(['nu', '--catalog', 'K3'])", {"unicolor.constructions"}),
-        ("main(['census', '--n', '5', '--k', '3'])", {"unicolor.census"}),
-        ("from unicolor import CensusTask", {"unicolor.census"}),
-        ("unicolor.constructions", {"unicolor.constructions"}),
+        ("main(['nu', '--catalog', 'K3'])", {"unicolor.constructions", *DATACLASSES}),
+        ("main(['census', '--n', '5', '--k', '3'])", {"unicolor.census", *DATACLASSES}),
+        ("from unicolor import CensusTask", {"unicolor.census", *DATACLASSES}),
+        ("unicolor.constructions", {"unicolor.constructions", *DATACLASSES}),
     ], ids=["import", "check", "nu-catalog", "census", "from-import", "submodule"])
     def test_only_what_runs(self, code, loaded):
         prelude = "import json\nimport unicolor\nfrom unicolor.cli import main\n"
