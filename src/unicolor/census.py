@@ -210,6 +210,12 @@ def _bump(stats: dict[str, int], key: str, by: int = 1) -> None:
     stats[key] = stats.get(key, 0) + by
 
 
+def _edge_window(task: CensusTask) -> tuple[int, int]:
+    """The task's edge window; by default every edge count of its order."""
+    n = task.n
+    return task.edge_window if task.edge_window is not None else (0, n * (n - 1) // 2)
+
+
 def _max_addable(order: int, n: int, alpha_bound: int) -> int:
     """Upper bound on edges gained by growing from ``order`` to ``n`` vertices.
 
@@ -339,7 +345,7 @@ def _extend_parent(
     """
     n = task.n
     dmin = task.min_degree
-    lo, hi = task.edge_window if task.edge_window is not None else (0, n * (n - 1) // 2)
+    lo, hi = _edge_window(task)
     _bump(stats, "parents_processed")
     r = parent.n
     rows = parent.adj
@@ -448,11 +454,11 @@ def _census_loop(
     stack: list[tuple[Graph, list[list[int]]]],
     expand: Callable[[Graph, list[list[int]], list], None],
     budget: Budget | None,
-) -> list[str] | None:
+) -> list[str]:
     """Depth-first drive of ``expand``, which pushes a parent's children to
     be expanded onto the stack of (canonically labelled graph, generators of
     its group) entries.  Returns the pending graphs as canonical graph6
-    strings if the budget runs out, or None on completion.  The clock is not
+    strings if the budget runs out, or [] on completion.  The clock is not
     checked before the first parent, so each run of a resume chain expands
     at least one parent and the chain ends."""
     first = True
@@ -468,7 +474,7 @@ def _census_loop(
                 return [emit_graph6(g) for g, _ in stack]
         first = False
         expand(parent, gens, stack)
-    return None
+    return []
 
 
 def _expand_frontier(
@@ -520,6 +526,13 @@ def _check_token(token: dict, task: CensusTask | None = None, mode: str | None =
         raise ValueError("checkpoint stats must be non-negative integers")
     if not isinstance(token.get("witnesses", []), list):
         raise ValueError("checkpoint witnesses must be a list")
+    # canonical augmentation reaches each class once, and distinct roots
+    # have disjoint subtrees, so an honest token names no graph twice
+    witnesses = [w.get("graph6") for w in token.get("witnesses", []) if isinstance(w, dict)]
+    for key, names in (("pending", token["pending"]), ("witnesses", witnesses)):
+        names = [s for s in names if isinstance(s, str)]
+        if len(set(names)) != len(names):
+            raise ValueError(f"checkpoint {key} list a graph more than once")
     if task is not None and token["task"] != task.to_dict():
         raise ValueError("checkpoint was produced by a different task")
 
@@ -580,8 +593,9 @@ def _drive(
     the pending roots of ``checkpoint``, whose witnesses are rebuilt and
     checked, or from the order-1 root.  With ``threads`` > 1 the tree is
     expanded breadth-first and its roots are shared among forked workers,
-    at most one per CPU, each resuming a witness token of its own.  When the
-    budget of ``eff`` runs out, the result carries the resume token.
+    at most one per CPU, each resuming a witness token of its own under the
+    whole budget.  When the budget of ``eff`` stops the run or any worker,
+    the result carries one resume token for every pending root.
     """
     result = CensusResult(task=task)
     stats = result.stats
@@ -604,8 +618,7 @@ def _drive(
         entries = checkpoint.get("witnesses", [])
         result.witnesses.extend(_witness_from_dict(d, eff) for d in entries)
     elif eff.n == 1:
-        lo = eff.edge_window[0] if eff.edge_window is not None else 0
-        if eff.min_degree <= 0 and lo <= 0:
+        if eff.min_degree <= 0 and _edge_window(eff)[0] <= 0:
             # the order-1 graph is the child of the order-0 graph by mask 0
             extra = [] if decide is None else decide(Graph(0), [0], eff, stats)[0]
             if extra is not None:
@@ -613,7 +626,7 @@ def _drive(
         return result
     else:
         stack = [(Graph(1), [])]
-    pending = None
+    pending: list[str] = []
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
         roots = sorted(_expand_frontier(stack, threads * 4, eff.n, expand))
@@ -628,9 +641,10 @@ def _drive(
                     for key, val in part.stats.items():
                         _bump(stats, key, val)
                     result.witnesses.extend(part.witnesses)
+                    pending += [] if part.complete else part.checkpoint["pending"]
     else:
         pending = _census_loop(stack, expand, eff.budget())
-    if pending is not None:
+    if pending:
         witnesses = result.witnesses if mode == "witness" else None
         result.checkpoint = _make_token(task, pending, stats, mode, witnesses)
     else:
@@ -757,7 +771,7 @@ def _witness(g: Graph, k: int, decision: _Decision) -> Witness:
 
 def _meets_filters(g: Graph, task: CensusTask) -> bool:
     """Whether a graph of order task.n passes the task's structural filters."""
-    lo, hi = task.edge_window if task.edge_window is not None else (0, g.n * (g.n - 1) // 2)
+    lo, hi = _edge_window(task)
     return (
         lo <= g.edge_count() <= hi
         and g.min_degree() >= task.min_degree
@@ -800,15 +814,13 @@ def find_unique_k_witnesses(
     the parent's partitions once, before any child is labelled, and each
     class that passes is reported once.  Witnesses are reported sorted by
     (edges, graph6).
-    ``threads`` > 1 distributes the search tree over worker processes
-    (budgets then unsupported).
+    ``threads`` > 1 distributes the search tree over worker processes, each
+    under the task's whole budget.
     """
     if threads < 1:
         raise ValueError("threads must be at least 1")
-    if threads > 1 and (task.budget() is not None or checkpoint is not None):
-        raise ValueError("budgets and checkpoints are only supported on single-worker runs")
     n, k = task.n, task.k
-    lo, hi = task.edge_window if task.edge_window is not None else (0, n * (n - 1) // 2)
+    lo, hi = _edge_window(task)
     lo = max(lo, (k - 1) * n - k * (k - 1) // 2)
     if lo > hi:
         # no graph in the window has enough edges to be uniquely k-colourable

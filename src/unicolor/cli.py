@@ -254,8 +254,18 @@ def _check_checkpoint_path(path: str) -> None:
     raise InputError(f"cannot write checkpoint {path}: {problem}")
 
 
+# the census flags that set the task or its budget; the parser adds each to
+# the arguments only when it is given, so CensusTask alone holds the defaults
+_TASK_FLAGS = ("n", "k", "edges", "triangle_free", "connected", "min_degree", "balanced",
+               "budget_nodes", "budget_seconds")
+
+
 def cmd_census(args: argparse.Namespace) -> int:
     from .census import CensusTask, checkpoint_loads, find_unique_k_witnesses
+    given = {name: getattr(args, name) for name in _TASK_FLAGS if hasattr(args, name)}
+    if args.resume and given:
+        flags = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise InputError(f"--resume takes the task and budget from the checkpoint; drop {flags}")
     if args.checkpoint:
         _check_checkpoint_path(args.checkpoint)
     if args.resume:
@@ -267,24 +277,16 @@ def cmd_census(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load checkpoint: {exc}") from None
         task = CensusTask.from_dict(token["task"])
-        result = find_unique_k_witnesses(task, threads=args.threads, checkpoint=token)
-        # logged once the library has accepted the resume
-        _log(f"resuming census from {args.checkpoint} ({len(token['pending'])} pending branches)")
     else:
-        if args.n is None:
+        if "n" not in given:
             raise InputError("census needs --n")
-        task = CensusTask(
-            n=args.n,
-            k=args.k,
-            triangle_free=args.triangle_free,
-            connected=args.connected,
-            min_degree=args.min_degree,
-            balanced=args.balanced,
-            edge_window=_parse_edge_window(args.edges) if args.edges else None,
-            budget_nodes=args.budget_nodes,
-            budget_seconds=args.budget_seconds,
-        )
-        result = find_unique_k_witnesses(task, threads=args.threads)
+        if "edges" in given:
+            given["edge_window"] = _parse_edge_window(given.pop("edges"))
+        token = None
+        task = CensusTask(**given)
+    result = find_unique_k_witnesses(task, threads=args.threads, checkpoint=token)
+    if token is not None:  # logged once the library has accepted the resume
+        _log(f"resuming census from {args.checkpoint} ({len(token['pending'])} pending branches)")
     for w in result.witnesses:
         _emit(w.to_json_dict())
     _log("census stats: " + json.dumps(dict(sorted(result.stats.items()))))
@@ -376,20 +378,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="PATH", help="write a coloured DOT drawing of the result")
     p.set_defaults(func=cmd_nu)
 
-    p = sub.add_parser("census", help="search all graphs of an order for witnesses")
+    # flags without a default of their own are absent unless given: see _TASK_FLAGS
+    p = sub.add_parser("census", help="search all graphs of an order for witnesses",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--n", type=int, help="graph order")
-    p.add_argument("--k", type=int, default=3, help="colour classes (default 3)")
+    p.add_argument("--k", type=int, help="colour classes (default 3)")
     p.add_argument("--edges", metavar="LO:HI", help="edge-count window")
     p.add_argument("--triangle-free", action="store_true")
     p.add_argument("--connected", action="store_true")
-    p.add_argument("--min-degree", type=int, default=0, metavar="D")
+    p.add_argument("--min-degree", type=int, metavar="D", help="degree floor (default 0)")
     p.add_argument("--balanced", action="store_true", help="demand equal class sizes")
     _add_budget(p)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes, at most one per CPU (default 1)")
+                   help="worker processes, at most one per CPU, each under the budget (default 1)")
     p.add_argument("--checkpoint", metavar="PATH", help="where to store/load the resume token")
     p.add_argument("--resume", action="store_true", help="continue from --checkpoint")
-    p.set_defaults(func=cmd_census)
+    p.set_defaults(func=cmd_census, checkpoint=None, resume=False)
 
     p = sub.add_parser("sample", help="sparse random k-partite graph with girth surgery")
     p.add_argument("--k", type=int, required=True, help="number of parts")

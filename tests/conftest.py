@@ -2,7 +2,8 @@
 
 Everything here recomputes results by direct enumeration, with no code
 shared with the library's search machinery, so that agreement between the
-two routes is meaningful evidence of correctness.
+two routes is meaningful evidence of correctness.  The ``forked_pools``
+fixture makes a census with two workers fork on any host.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import itertools
 import os
 import random
 import sys
+
+import pytest
 
 # a bytecode cache under src/ would shorten the benchmark's setup_s, so
 # neither the suite nor the interpreters it starts write one
@@ -203,3 +206,25 @@ def brute_canonical_graph6(g: Graph) -> bytes:
     bits += [0] * (-len(bits) % 6)
     digits = [63 + int("".join(map(str, bits[k:k + 6])), 2) for k in range(0, len(bits), 6)]
     return bytes([63 + n] + digits)
+
+
+@pytest.fixture
+def forked_pools(monkeypatch):
+    """Two CPUs on every host, so that a census with threads=2 forks even on
+    a one-CPU runner; the list of the pool sizes the census opens."""
+    import multiprocessing
+
+    pools: list[int] = []
+    get_context = multiprocessing.get_context
+
+    class Recording:
+        def __init__(self, method):
+            self.ctx = get_context(method)
+
+        def Pool(self, processes):
+            pools.append(processes)
+            return self.ctx.Pool(processes=processes)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "get_context", Recording)
+    return pools

@@ -1,7 +1,7 @@
 import gc
 import hashlib
+import json
 import math
-import os
 import random
 from dataclasses import replace
 
@@ -17,6 +17,7 @@ from conftest import (
 )
 from unicolor.budget import Budget, BudgetExceededError
 from unicolor.census import (
+    CensusResult,
     CensusTask,
     _battery,
     _candidate_masks,
@@ -194,11 +195,12 @@ class TestCheckpointResume:
             assert len(parts) == len(set(parts)), "classes must not repeat across hops"
             assert hops >= 1
 
-    def test_witness_mode_chain(self):
+    def test_witness_mode_chain(self, forked_pools):
         # the sequential run, a forked one and a budget -> resume chain
         # decide the same children and report the same witnesses
         direct = find_unique_k_witnesses(CensusTask(n=6, k=2))
         forked = find_unique_k_witnesses(CensusTask(n=6, k=2), threads=2)
+        assert forked_pools == [2]
         task = CensusTask(n=6, k=2, budget_nodes=2)
         res = find_unique_k_witnesses(task)
         hops = 0
@@ -320,16 +322,53 @@ class TestWitnessSearch:
             assert (w.graph6 in bal_forms) == is_bal
 
 
+def _chain(task: CensusTask, threads: list[int]) -> tuple[CensusResult, int]:
+    """The last result of a budget -> resume chain of ``task``, whose runs
+    take their worker counts from ``threads`` in turn, and its number of
+    resumes."""
+    res = find_unique_k_witnesses(task, threads=threads[0])
+    hops = 0
+    while not res.complete:
+        hops += 1
+        token = checkpoint_loads(checkpoint_dumps(res.checkpoint))
+        res = find_unique_k_witnesses(task, threads=threads[hops % len(threads)],
+                                      checkpoint=token)
+        assert hops < 10 ** 3
+    return res, hops
+
+
 class TestParallel:
-    def test_two_workers_match_sequential(self):
+    def test_two_workers_match_sequential(self, forked_pools):
         seq = find_unique_k_witnesses(CensusTask(n=6, k=3))
         par = find_unique_k_witnesses(CensusTask(n=6, k=3), threads=2)
+        assert forked_pools == [2]
         assert [w.graph6 for w in par.witnesses] == [w.graph6 for w in seq.witnesses]
         assert par.stats.get("witnesses", 0) == seq.stats.get("witnesses", 0)
 
-    def test_budget_with_threads_rejected(self):
-        with pytest.raises(ValueError):
-            find_unique_k_witnesses(CensusTask(n=6, budget_nodes=5), threads=2)
+    @pytest.mark.parametrize("budget", [
+        dict(budget_nodes=1), dict(budget_nodes=7), dict(budget_seconds=1e-9),
+    ], ids=["nodes-1", "nodes-7", "seconds"])
+    @pytest.mark.parametrize("task", [
+        CensusTask(n=7, k=3), CensusTask(n=9, k=3, triangle_free=True),
+    ], ids=["n7k3", "tf-n9k3"])
+    def test_forked_chain_repeats_the_sequential_run(self, forked_pools, task, budget):
+        # each worker spends up to the whole budget and returns its pending
+        # roots, which the run's one token carries on; a run left with one
+        # root opens a pool of one
+        direct = find_unique_k_witnesses(task)
+        res, hops = _chain(replace(task, **budget), [2])
+        assert hops >= 2 and len(forked_pools) >= hops and forked_pools[0] == 2
+        assert [w.to_json_dict() for w in res.witnesses] == [
+            w.to_json_dict() for w in direct.witnesses]
+        assert res.stats == direct.stats
+
+    def test_chain_may_change_its_worker_count(self, forked_pools):
+        task = CensusTask(n=7, k=3)
+        direct = find_unique_k_witnesses(task)
+        res, hops = _chain(replace(task, budget_nodes=7), [1, 2])
+        assert hops >= 4 and len(forked_pools) == (hops + 1) // 2 and forked_pools[0] == 2
+        assert res.witnesses == direct.witnesses
+        assert res.stats == direct.stats
 
     def test_bad_thread_count(self):
         with pytest.raises(ValueError):
@@ -381,6 +420,21 @@ class TestTokenShape:
         bad = dict(token, pending=[*token["pending"], entry])
         with pytest.raises(ValueError):
             generate(task, checkpoint=bad)
+
+    def test_repeated_entries_rejected(self):
+        # distinct roots have disjoint subtrees and each class is reached
+        # once, so a token that names a graph twice would report it twice
+        task = CensusTask(n=7, k=3, budget_nodes=5)
+        res = find_unique_k_witnesses(task)
+        while not res.checkpoint["witnesses"]:
+            res = resume(res.checkpoint)
+        token = res.checkpoint
+        for key in ("pending", "witnesses"):
+            bad = checkpoint_dumps(dict(token, **{key: token[key] * 2}))
+            with pytest.raises(ValueError, match=f"{key} list a graph more than once"):
+                checkpoint_loads(bad)
+            with pytest.raises(ValueError, match="more than once"):
+                resume(json.loads(bad))
 
 
 class TestEachCheckOnce:
@@ -615,33 +669,19 @@ class TestOrbitPruning:
             assert parts == full
             assert res.stats == direct.stats
 
-    def test_forked_workers_repeat_the_sequential_stats(self):
+    def test_forked_workers_repeat_the_sequential_stats(self, forked_pools):
         task = CensusTask(n=7, k=3)
         seq = find_unique_k_witnesses(task)
         par = find_unique_k_witnesses(task, threads=2)
+        assert forked_pools == [2]
         assert par.witnesses == seq.witnesses
         assert par.stats == seq.stats
 
-    def test_workers_are_capped_at_the_cpu_count(self, monkeypatch):
-        import multiprocessing
-
-        pools = []
-        get_context = multiprocessing.get_context
-
-        class Recording:
-            def __init__(self, method):
-                self.ctx = get_context(method)
-
-            def Pool(self, processes):
-                pools.append(processes)
-                return self.ctx.Pool(processes=processes)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(multiprocessing, "get_context", Recording)
+    def test_workers_are_capped_at_the_cpu_count(self, forked_pools):
         task = CensusTask(n=7, k=3)
         seq = find_unique_k_witnesses(task)
         par = find_unique_k_witnesses(task, threads=64)
-        assert pools == [2]
+        assert forked_pools == [2]
         assert par.witnesses == seq.witnesses
         assert par.stats == seq.stats
 

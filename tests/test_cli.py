@@ -214,9 +214,9 @@ class TestCensus:
         code, _, err = run(capsys, "census", "--resume")
         assert code == 2 and "--checkpoint" in err
 
-    def test_threads_flag(self, capsys):
+    def test_threads_flag(self, capsys, forked_pools):
         code, out, _ = run(capsys, "census", "--n", "5", "--k", "2", "--threads", "2")
-        assert code == 0
+        assert code == 0 and forked_pools == [2]
         direct = run(capsys, "census", "--n", "5", "--k", "2")[1]
         assert sorted(out.splitlines()) == sorted(direct.splitlines())
 
@@ -227,15 +227,21 @@ class TestCensus:
                          "--budget-nodes", "5", "--checkpoint", str(cp))
         assert code == 3 and cp.exists()
 
-    def test_resume_refuses_threads(self, capsys, tmp_path):
+    def test_forked_budget_chain(self, capsys, tmp_path, forked_pools):
+        # a forked run takes a budget and a checkpoint, and resumes forked
+        _, plain, _ = run(capsys, "census", "--n", "7", "--k", "3")
         cp = tmp_path / "t.json"
-        assert run(capsys, "census", "--n", "7", "--k", "3", "--budget-nodes", "5",
-                   "--checkpoint", str(cp))[0] == 3
-        code, out, err = run(capsys, "census", "--resume", "--checkpoint", str(cp),
-                             "--threads", "2")
-        assert (code, out) == (2, "")
-        assert "single-worker" in err and "census stats" not in err
-        assert "resuming" not in err
+        code, out, _ = run(capsys, "census", "--n", "7", "--k", "3", "--budget-nodes", "5",
+                           "--threads", "2", "--checkpoint", str(cp))
+        hops = 0
+        while code == 3:
+            code, out, err = run(capsys, "census", "--resume", "--checkpoint", str(cp),
+                                 "--threads", "2")
+            assert "resuming" in err
+            hops += 1
+        assert code == 0 and hops >= 2
+        assert len(forked_pools) == hops + 1 and forked_pools[0] == 2
+        assert out == plain
 
 
 class TestSample:
@@ -283,8 +289,12 @@ class TestLibraryInputErrors:
          "error: max_seconds must be positive\n"),
         (["census", "--n", "6", "--k", "3", "--budget-nodes", "0"],
          "error: census node budget must be at least 1\n"),
+        (["census", "--resume", "--checkpoint", "t.json", "--k", "3", "--edges", "1:2",
+          "--triangle-free", "--budget-seconds", "5"],
+         "error: --resume takes the task and budget from the checkpoint; "
+         "drop --k, --edges, --triangle-free, --budget-seconds\n"),
     ], ids=["census-order", "sample-parts", "check-nan-seconds", "census-nan-seconds",
-            "census-zero-nodes"])
+            "census-zero-nodes", "resume-task-flags"])
     def test_one_error_line(self, capsys, argv, line):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", line)
@@ -349,6 +359,7 @@ class TestResumeTokens:
         lambda t: dict(t, task={key: v for key, v in t["task"].items() if key != "k"}),
         lambda t: dict(t, pending=[*t["pending"], "D~{"]),  # order 5 = n
         lambda t: dict(t, pending=[*t["pending"], "B_"]),  # not canonical
+        lambda t: dict(t, pending=t["pending"] * 2),
         lambda t: dict(t, witnesses={}),
         lambda t: dict(t, witnesses=["D?{"]),
         lambda t: _with_witness(t, edges=None),
@@ -360,10 +371,11 @@ class TestResumeTokens:
         lambda t: _with_witness(t, graph6="Ds_"),  # the star, not canonically labelled
         lambda t: _with_witness(t, graph6=5),
         lambda t: _with_witness(t, edges=5),
+        lambda t: dict(t, witnesses=[_STAR, _STAR]),
     ], ids=["no-task", "unknown-task-key", "missing-task-key", "pending-order", "pending-canon",
-            "witnesses-not-list", "witness-not-dict", "witness-missing-key", "witness-extra-key",
+            "pending-repeated", "witnesses-not-list", "witness-not-dict", "witness-missing-key", "witness-extra-key",
             "report-missing-key", "report-extra-key", "report-not-dict", "witness-order",
-            "witness-canon", "witness-not-str", "witness-edges"])
+            "witness-canon", "witness-not-str", "witness-edges", "witnesses-repeated"])
     def test_malformed_token_is_an_input_error(self, capsys, tmp_path, mutate):
         cp = tmp_path / "token.json"
         token = _budgeted_token(capsys, cp)
@@ -371,6 +383,7 @@ class TestResumeTokens:
         code, _, err = run(capsys, "census", "--resume", "--checkpoint", str(cp))
         assert code == 2
         assert "error:" in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("part, key, value", [
         ("stats", "parents_processed", [1]),
