@@ -15,6 +15,8 @@ job run, each flag repeatable, and at least one job is needed:
   (k = 3, triangle-free, connected, minimum degree 2, balanced, 22..23
   edges), ``tf11`` the unrestricted triangle-free census at n = 11, k = 3,
   and ``n6k3`` the census at n = 6, k = 3, small enough for a smoke test.
+  ``tf11t2`` and ``n6k3t2`` run ``tf11`` and ``n6k3`` with ``threads=2``,
+  whose forked workers the run's wall time includes.
 
 Pair i runs every workload and then every task, each on both checkouts, the
 parent first in even pairs and the change first in odd ones, so a drift in
@@ -73,6 +75,8 @@ TASKS = {
                     balanced=True, edge_window=[22, 23]),
     "tf11": dict(n=11, k=3, triangle_free=True),
     "n6k3": dict(n=6, k=3),
+    "tf11t2": dict(n=11, k=3, triangle_free=True, threads=2),
+    "n6k3t2": dict(n=6, k=3, threads=2),
 }
 
 # prints its result in perfbench's shape: one line whose "metrics" hold values
@@ -80,11 +84,12 @@ _RUNNER = """\
 import json, sys, time
 from unicolor.census import CensusTask, find_unique_k_witnesses
 kw = json.loads(sys.argv[1])
+threads = kw.pop("threads", 1)
 if kw.get("edge_window") is not None:
     kw["edge_window"] = tuple(kw["edge_window"])
 task = CensusTask(**kw)
 began = time.perf_counter()
-result = find_unique_k_witnesses(task)
+result = find_unique_k_witnesses(task, threads=threads)
 wall = time.perf_counter() - began
 print(json.dumps({"metrics": {"wall_s": {"value": wall, "unit": "s"}},
                   "complete": result.complete, "stats": result.stats,

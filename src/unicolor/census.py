@@ -15,8 +15,8 @@ verdict, so the first mask of each orbit in candidate order stands for the
 others, and they are skipped before their child is built; the
 ``duplicate_siblings`` stat counts them.  The generators of a parent's
 group come from the labelling that accepted it as a child, whose tie search
-meets them anyway, and are carried down the tree in canonical labels; roots
-loaded from a checkpoint or handed to a worker get theirs from one
+meets them anyway, and are carried down the tree in canonical labels, to
+forked workers too; roots loaded from a checkpoint get theirs from one
 labelling.
 
 The rule alone yields each class once, given generators of the whole group.
@@ -82,6 +82,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .budget import Budget, BudgetExceededError
@@ -450,17 +451,23 @@ def _extend_parent(
     return accepted
 
 
-def _census_loop(
+def _search(
+    eff: CensusTask,
+    visit: Callable[[Graph, list | _Decision, CensusResult], None],
+    keep: Callable[[Graph], bool] | None,
+    decide: Callable[[Graph, list[int], CensusTask, dict], list[_Decision | None]] | None,
     stack: list[tuple[Graph, list[list[int]]]],
-    expand: Callable[[Graph, list[list[int]], list], None],
-    budget: Budget | None,
-) -> list[str]:
-    """Depth-first drive of ``expand``, which pushes a parent's children to
-    be expanded onto the stack of (canonically labelled graph, generators of
-    its group) entries.  Returns the pending graphs as canonical graph6
-    strings if the budget runs out, or [] on completion.  The clock is not
-    checked before the first parent, so each run of a resume chain expands
-    at least one parent and the chain ends."""
+) -> tuple[dict[str, int], list[Witness], list[str]]:
+    """Depth-first search for the classes of ``eff`` below the (canonically
+    labelled graph, generators of its group) entries of ``stack``, under a
+    budget of its own.  Returns its stats, the witnesses ``visit`` recorded
+    and, if the budget runs out, its pending graphs as canonical graph6
+    strings, else [].  The clock is not checked before the first parent, so
+    each run of a resume chain expands at least one parent and the chain
+    ends."""
+    part = CensusResult(task=eff)
+    stats = part.stats
+    budget = eff.budget()
     first = True
     while stack:
         parent, gens = stack.pop()
@@ -471,27 +478,15 @@ def _census_loop(
                     budget.check_time()
             except BudgetExceededError:
                 stack.append((parent, gens))
-                return [emit_graph6(g) for g, _ in stack]
+                return stats, part.witnesses, [emit_graph6(g) for g, _ in stack]
         first = False
-        expand(parent, gens, stack)
-    return []
-
-
-def _expand_frontier(
-    level: list[tuple[Graph, list[list[int]]]],
-    want: int,
-    n: int,
-    expand: Callable[[Graph, list[list[int]], list], None],
-) -> list[str]:
-    """Grow the augmentation tree breadth-first from ``level`` until at least
-    ``want`` subtree roots exist or the next level would reach order ``n``;
-    the roots are returned as canonical graph6 strings."""
-    while level and len(level) < want and level[0][0].n < n - 1:
-        nxt: list[tuple[Graph, list[list[int]]]] = []
-        for parent, gens in level:
-            expand(parent, gens, nxt)
-        level = nxt
-    return [emit_graph6(g) for g, _ in level]
+        for child, extra in _extend_parent(eff, parent, gens, stats, decide):
+            if child.n == eff.n:
+                _bump(stats, "visited")
+                visit(child, extra, part)
+            elif keep is None or keep(child):
+                stack.append((child, extra))
+    return stats, part.witnesses, []
 
 
 def _make_token(task: CensusTask, pending: list[str], stats: dict, mode: str,
@@ -526,6 +521,8 @@ def _check_token(token: dict, task: CensusTask | None = None, mode: str | None =
         raise ValueError("checkpoint stats must be non-negative integers")
     if not isinstance(token.get("witnesses", []), list):
         raise ValueError("checkpoint witnesses must be a list")
+    if token.get("mode") == "generate" and "witnesses" in token:
+        raise ValueError("a generate checkpoint holds no witnesses")
     # canonical augmentation reaches each class once, and distinct roots
     # have disjoint subtrees, so an honest token names no graph twice
     witnesses = [w.get("graph6") for w in token.get("witnesses", []) if isinstance(w, dict)]
@@ -592,25 +589,15 @@ def _drive(
     lost are those that fail ``keep`` themselves.  The search starts from
     the pending roots of ``checkpoint``, whose witnesses are rebuilt and
     checked, or from the order-1 root.  With ``threads`` > 1 the tree is
-    expanded breadth-first and its roots are shared among forked workers,
-    at most one per CPU, each resuming a witness token of its own under the
-    whole budget.  When the budget of ``eff`` stops the run or any worker,
-    the result carries one resume token for every pending root.
+    first grown breadth-first, without a budget, to 4 roots per worker or a
+    root one vertex short of full order.  The roots are dealt into at most
+    one share per worker and per CPU, each searched by _search under the
+    whole budget of ``eff``, forked when there are two shares or more.  The
+    shares merge, and the result carries one resume token for every
+    pending root.
     """
     result = CensusResult(task=task)
     stats = result.stats
-
-    def inner(g: Graph, extra: list | _Decision) -> None:
-        _bump(stats, "visited")
-        visit(g, extra, result)
-
-    def expand(parent: Graph, gens: list[list[int]], out: list) -> None:
-        for child, extra in _extend_parent(eff, parent, gens, stats, decide):
-            if child.n == eff.n:
-                inner(child, extra)
-            elif keep is None or keep(child):
-                out.append((child, extra))
-
     if checkpoint is not None:
         _check_token(checkpoint, task, mode)
         stack = _load_stack(checkpoint["pending"], task.n)
@@ -622,28 +609,36 @@ def _drive(
             # the order-1 graph is the child of the order-0 graph by mask 0
             extra = [] if decide is None else decide(Graph(0), [0], eff, stats)[0]
             if extra is not None:
-                inner(Graph(1), extra)
+                _bump(stats, "visited")
+                visit(Graph(1), extra, result)
         return result
     else:
         stack = [(Graph(1), [])]
-    pending: list[str] = []
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
-        roots = sorted(_expand_frontier(stack, threads * 4, eff.n, expand))
-        tokens = [_make_token(task, roots[i::threads], {}, mode, [])
-                  for i in range(min(threads, len(roots)))]
-        if tokens:
-            import multiprocessing
+        # a full-order class is visited inside a search, so the frontier
+        # stops one vertex short of full order
+        while stack and len(stack) < threads * 4 and max(g.n for g, _ in stack) < eff.n - 1:
+            level, stack = stack, []
+            for parent, gens in level:
+                stack += [(child, extra) for child, extra
+                          in _extend_parent(eff, parent, gens, stats, decide)
+                          if keep is None or keep(child)]
+    shares = [stack[i::threads] for i in range(min(threads, len(stack)))]
+    search = partial(_search, eff, visit, keep, decide)
+    if len(shares) > 1:
+        import multiprocessing
 
-            ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=len(tokens)) as pool:
-                for part in pool.map(resume, tokens):
-                    for key, val in part.stats.items():
-                        _bump(stats, key, val)
-                    result.witnesses.extend(part.witnesses)
-                    pending += [] if part.complete else part.checkpoint["pending"]
+        with multiprocessing.get_context("fork").Pool(processes=len(shares)) as pool:
+            parts = pool.map(search, shares)
     else:
-        pending = _census_loop(stack, expand, eff.budget())
+        parts = map(search, shares)
+    pending: list[str] = []
+    for part_stats, found, part_pending in parts:
+        for key, val in part_stats.items():
+            _bump(stats, key, val)
+        result.witnesses.extend(found)
+        pending += part_pending
     if pending:
         witnesses = result.witnesses if mode == "witness" else None
         result.checkpoint = _make_token(task, pending, stats, mode, witnesses)
@@ -801,6 +796,15 @@ def _witness_from_dict(d: dict, task: CensusTask) -> Witness:
     return w
 
 
+def _add_witness(g: Graph, decision: _Decision, result: CensusResult) -> None:
+    _bump(result.stats, "witnesses")
+    result.witnesses.append(_witness(g, result.task.k, decision))
+
+
+def _colourable(k: int, g: Graph) -> bool:
+    return count_colour_partitions(g, k, cap=1) == 1
+
+
 def find_unique_k_witnesses(
     task: CensusTask, threads: int = 1, checkpoint: dict | None = None
 ) -> CensusResult:
@@ -817,8 +821,8 @@ def find_unique_k_witnesses(
     ``threads`` > 1 distributes the search tree over worker processes, each
     under the task's whole budget.
     """
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
+    if type(threads) is not int or threads < 1:
+        raise ValueError("threads must be an integer of at least 1")
     n, k = task.n, task.k
     lo, hi = _edge_window(task)
     lo = max(lo, (k - 1) * n - k * (k - 1) // 2)
@@ -830,14 +834,8 @@ def find_unique_k_witnesses(
     eff = replace(task, min_degree=max(task.min_degree, k - 1),
                   connected=task.connected or k > 1, edge_window=(lo, hi))
 
-    def on_class(g: Graph, decision: _Decision, result: CensusResult) -> None:
-        _bump(result.stats, "witnesses")
-        result.witnesses.append(_witness(g, k, decision))
-
-    def colourable(g: Graph) -> bool:
-        return count_colour_partitions(g, k, cap=1) == 1
-
-    return _drive(task, eff, "witness", on_class, checkpoint, threads, colourable, _battery)
+    return _drive(task, eff, "witness", _add_witness, checkpoint, threads,
+                  partial(_colourable, k), _battery)
 
 
 def resume(checkpoint: dict, visit: Callable[[Graph], None] | None = None) -> CensusResult:

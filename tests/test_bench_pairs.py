@@ -189,7 +189,7 @@ class _Result:
     witnesses = []
 
 
-def find_unique_k_witnesses(task):
+def find_unique_k_witnesses(task, threads=1):
     if STATS is None:
         raise RuntimeError("no census here")
     return _Result()
@@ -215,18 +215,20 @@ class TestCensusTasks:
         checkout = tmp_path / "repo"
         shutil.copytree(ROOT / "src", checkout / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-        code, report = _pairs(checkout, checkout, tmp_path / "pairs.json", "--task", "n6k3",
-                              "--pairs", "2")
+        tasks = ["n6k3", "n6k3t2"]  # the second forks two workers on a host with two CPUs
+        code, report = _pairs(checkout, checkout, tmp_path / "pairs.json", "--task", tasks[0],
+                              "--task", tasks[1], "--pairs", "2")
         assert code == 0 and report["failed_run"] is None
-        assert report["tasks"] == ["n6k3"] and report["identical_outputs"]
-        result = report["results"]["n6k3"]
+        assert report["tasks"] == tasks and report["identical_outputs"]
         direct = find_unique_k_witnesses(CensusTask(n=6, k=3))
-        assert result["stats"] == direct.stats
-        assert result["witnesses"] == [w.graph6 for w in direct.witnesses]
-        assert [pair["parent"]["ran"] for pair in result["runs"]] == ["first", "second"]
-        wall = result["summary"]["wall_s"]
-        assert set(wall["median"]) == {"parent", "change"}
-        assert wall["pairs_won_by_change"] + wall["pairs_lost_by_change"] <= 2
+        for task in tasks:
+            result = report["results"][task]
+            assert result["stats"] == direct.stats
+            assert result["witnesses"] == [w.graph6 for w in direct.witnesses]
+            assert [pair["parent"]["ran"] for pair in result["runs"]] == ["first", "second"]
+            wall = result["summary"]["wall_s"]
+            assert set(wall["median"]) == {"parent", "change"}
+            assert wall["pairs_won_by_change"] + wall["pairs_lost_by_change"] <= 2
 
     def test_different_outputs_fail(self, tmp_path):
         parent = _census_checkout(tmp_path / "parent", {"visited": 1})

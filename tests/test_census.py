@@ -267,6 +267,13 @@ class TestCheckpointResume:
         other = CensusTask(n=6, k=4, budget_nodes=1)
         with pytest.raises(ValueError, match="different task"):
             generate(other, checkpoint=token)
+        # only a witness search records witnesses, though this one passes the task's battery
+        found = find_unique_k_witnesses(CensusTask(n=6)).witnesses[0]
+        with_witness = dict(token, witnesses=[found.to_json_dict()])
+        with pytest.raises(ValueError, match="generate checkpoint holds no witnesses"):
+            resume(with_witness)
+        with pytest.raises(ValueError, match="generate checkpoint holds no witnesses"):
+            checkpoint_loads(checkpoint_dumps(with_witness))
 
 
 class TestWitnessSearch:
@@ -354,10 +361,10 @@ class TestParallel:
     def test_forked_chain_repeats_the_sequential_run(self, forked_pools, task, budget):
         # each worker spends up to the whole budget and returns its pending
         # roots, which the run's one token carries on; a run left with one
-        # root opens a pool of one
+        # root searches it in its own process
         direct = find_unique_k_witnesses(task)
         res, hops = _chain(replace(task, **budget), [2])
-        assert hops >= 2 and len(forked_pools) >= hops and forked_pools[0] == 2
+        assert hops >= 2 and len(forked_pools) >= hops and min(forked_pools) == 2
         assert [w.to_json_dict() for w in res.witnesses] == [
             w.to_json_dict() for w in direct.witnesses]
         assert res.stats == direct.stats
@@ -370,9 +377,47 @@ class TestParallel:
         assert res.witnesses == direct.witnesses
         assert res.stats == direct.stats
 
-    def test_bad_thread_count(self):
-        with pytest.raises(ValueError):
-            find_unique_k_witnesses(CensusTask(n=4), threads=0)
+    def test_workers_load_no_token(self, forked_pools, monkeypatch):
+        # roots reach a worker with their generators: only the calling
+        # process labels the pending roots of a token, once each
+        import os
+
+        import unicolor.census as census_module
+
+        caller, load = os.getpid(), census_module._load_stack
+
+        def load_here(pending, n):
+            if os.getpid() != caller:
+                raise RuntimeError("a forked worker loaded a checkpoint")
+            return load(pending, n)
+
+        monkeypatch.setattr(census_module, "_load_stack", load_here)
+        task = CensusTask(n=7, k=3)
+        direct = find_unique_k_witnesses(task)
+        fresh = find_unique_k_witnesses(task, threads=2)
+        res, hops = _chain(replace(task, budget_nodes=7), [2])
+        assert hops >= 2 and forked_pools[0] == 2 and min(forked_pools) == 2
+        for other in (fresh, res):
+            assert other.witnesses == direct.witnesses
+            assert other.stats == direct.stats
+
+    @pytest.mark.parametrize("task", [
+        CensusTask(n=5, k=1),  # the frontier keeps one root, the edgeless graph
+        CensusTask(n=6, k=2, min_degree=5),  # the frontier empties
+    ], ids=["one-root", "no-root"])
+    def test_fewer_than_two_roots_fork_nothing(self, forked_pools, task):
+        direct = find_unique_k_witnesses(task)
+        res = find_unique_k_witnesses(task, threads=2)
+        assert forked_pools == [] and res.complete
+        assert res.witnesses == direct.witnesses
+        assert res.stats == direct.stats
+
+    def test_bad_thread_count(self, monkeypatch):
+        # enough CPUs that a bad count reaches the worker cap
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        for threads in (0, 2.5, True, "2"):
+            with pytest.raises(ValueError, match="threads"):
+                find_unique_k_witnesses(CensusTask(n=4), threads=threads)
 
 
 class TestDegenerateOrders:
