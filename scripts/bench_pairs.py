@@ -16,7 +16,7 @@ job run, each flag repeatable, and at least one job is needed:
   edges), ``tf11`` the unrestricted triangle-free census at n = 11, k = 3,
   and ``n6k3`` the census at n = 6, k = 3, small enough for a smoke test.
   ``tf11t2`` and ``n6k3t2`` run ``tf11`` and ``n6k3`` with ``threads=2``,
-  whose forked workers the run's wall time includes.
+  so that the forked search is timed too.
 
 Pair i runs every workload and then every task, each on both checkouts, the
 parent first in even pairs and the change first in odd ones, so a drift in

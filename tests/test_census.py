@@ -396,7 +396,7 @@ class TestParallel:
         direct = find_unique_k_witnesses(task)
         fresh = find_unique_k_witnesses(task, threads=2)
         res, hops = _chain(replace(task, budget_nodes=7), [2])
-        assert hops >= 2 and forked_pools[0] == 2 and min(forked_pools) == 2
+        assert hops >= 2 and min(forked_pools) == 2
         for other in (fresh, res):
             assert other.witnesses == direct.witnesses
             assert other.stats == direct.stats
